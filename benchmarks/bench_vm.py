@@ -1,13 +1,14 @@
-"""Benchmark: predecoded fast-path engine throughput vs the legacy loop.
+"""Benchmark: predecoded VM engine throughput vs the legacy loop.
 
 The VM dispatch loop is the substrate-wide hot path — every table and
 figure is arithmetic over millions of simulated RISC-ops — so this is
-the repo's first recorded perf point (``BENCH_VM.json``).  The smoke
-test guards the fast path in CI with a conservative speedup floor (the
-point is catching a silent regression to legacy-loop throughput, not
-chasing the exact multiple on a noisy runner); the full benchmark sweeps
-every bundled workload x dataset, checks bit-identity against the legacy
-engine as it goes, and rewrites ``BENCH_VM.json``.
+the repo's first recorded perf point (``BENCH_VM.json``).  ``Machine``
+is timed against the plain tuple-dispatch oracle in ``tests/legacy_vm.py``.
+The smoke test guards the fast path in CI with a conservative speedup
+floor (the point is catching a silent regression to legacy-loop
+throughput, not chasing the exact multiple on a noisy runner); the full
+benchmark sweeps every bundled workload x dataset, checks bit-identity
+against the oracle as it goes, and rewrites ``BENCH_VM.json``.
 """
 import dataclasses
 import json
@@ -19,6 +20,8 @@ from repro.compiler import compile_source
 from repro.vm.engine import predecode
 from repro.vm.machine import Machine
 from repro.workloads import registry
+
+from tests.legacy_vm import LegacyMachine
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_VM.json"
 
@@ -47,8 +50,8 @@ def _measure(workload_name, dataset_names=None):
     timing is the warm path (decode cached on the LoweredProgram), which
     is what every sweep after the first run pays."""
     workload, program = _compiled(workload_name)
-    fast = Machine(engine="fast")
-    legacy = Machine(engine="legacy")
+    fast = Machine()
+    legacy = LegacyMachine()
     predecode(program)  # decode once, outside the timed region
     instructions = 0
     legacy_seconds = fast_seconds = 0.0

@@ -5,12 +5,20 @@ The session runner pre-warms every simulation the tables and figures need
 measures the experiment's regeneration — the analysis over the measured
 runs — not the one-time simulations, which are served from the on-disk
 cache on later invocations anyway.
+
+The repository root goes on ``sys.path`` so ``bench_vm`` can import the
+counting oracle from ``tests/legacy_vm.py`` under a plain ``pytest`` run.
 """
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.runner import WorkloadRunner
 from repro.experiments import table1
 from repro.workloads import all_workloads
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,12 @@ Grammar summary::
     body      := block | stmt
     simple    := lvalue ('=' | '+=' | ...) expr | postfix-call
 
+Nesting is capped at :data:`MAX_NESTING` levels, counting statements,
+expressions and each link of an operator or call chain (each nests the
+tree built so far one level deeper).  Every later stage walks the AST
+recursively, so the cap turns pathological input into a
+:class:`~repro.lang.errors.LangError` instead of a ``RecursionError``.
+
 Expressions use C-like precedence.  ``&&`` and ``||`` short-circuit (the code
 generator lowers each to its own conditional branch, as the paper's compiler
 did).  ``&f`` takes the address of function ``f`` for indirect calls.
@@ -31,6 +37,11 @@ from repro.lang import ast_nodes as ast
 from repro.lang.errors import LangError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token
+
+#: Deepest statement-plus-expression nesting the parser accepts.  The
+#: bundled workloads nest at most 12 levels; at 100 levels every stage of
+#: the pipeline stays well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
 
@@ -64,6 +75,7 @@ class Parser:
         self.tokens = tokens
         self.directives = directives
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -79,6 +91,13 @@ class Parser:
 
     def error(self, message: str) -> LangError:
         return LangError(message, self.cur.line, self.cur.col)
+
+    def nest(self) -> None:
+        """Enter one nesting level; the caller leaves it by decrementing
+        ``depth`` (an error abandons the whole parse, so no unwinding)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting exceeds the limit of {MAX_NESTING} levels")
 
     def expect_op(self, text: str) -> Token:
         if not self.cur.is_op(text):
@@ -206,6 +225,12 @@ class Parser:
         return [self._parse_stmt()]
 
     def _parse_stmt(self) -> ast.Node:
+        self.nest()
+        stmt = self._parse_stmt_kind()
+        self.depth -= 1
+        return stmt
+
+    def _parse_stmt_kind(self) -> ast.Node:
         token = self.cur
         if token.is_keyword("var"):
             line = token.line
@@ -281,7 +306,9 @@ class Parser:
         else_body: List[ast.Node] = []
         if self.accept_keyword("else"):
             if self.cur.is_keyword("if"):
+                self.nest()
                 else_body = [self._parse_if()]
+                self.depth -= 1
             else:
                 else_body = self._parse_body()
         return ast.If(line=line, cond=cond, then_body=then_body, else_body=else_body)
@@ -356,26 +383,36 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def _parse_expr(self) -> ast.Node:
-        return self._parse_binary(1)
+        self.nest()
+        expr = self._parse_binary(1)
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, min_prec: int) -> ast.Node:
         left = self._parse_unary()
+        links = 0
         while True:
             token = self.cur
             if token.kind != "op":
-                return left
+                break
             prec = _PRECEDENCE.get(token.value)
             if prec is None or prec < min_prec:
-                return left
+                break
             self.advance()
+            self.nest()
+            links += 1
             right = self._parse_binary(prec + 1)
             left = ast.Binary(line=token.line, op=token.value, left=left, right=right)
+        self.depth -= links
+        return left
 
     def _parse_unary(self) -> ast.Node:
         token = self.cur
         if token.is_op("-") or token.is_op("!") or token.is_op("~"):
             self.advance()
+            self.nest()
             operand = self._parse_unary()
+            self.depth -= 1
             if token.value == "-" and isinstance(operand, ast.IntLit):
                 return ast.IntLit(line=token.line, value=-operand.value)
             return ast.Unary(line=token.line, op=token.value, operand=operand)
@@ -387,10 +424,15 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Node:
         expr = self._parse_primary()
+        links = 0
         while True:
             if self.cur.is_op("("):
                 line = self.cur.line
                 self.advance()
+                if not isinstance(expr, ast.Name):
+                    # Calling a call's result nests the callee a level deeper.
+                    self.nest()
+                    links += 1
                 args: List[ast.Node] = []
                 if not self.cur.is_op(")"):
                     args.append(self._parse_expr())
@@ -411,6 +453,7 @@ class Parser:
                 self.expect_op("]")
                 expr = ast.Index(line=line, array=expr.ident, index=index)
             else:
+                self.depth -= links
                 return expr
 
     def _parse_primary(self) -> ast.Node:

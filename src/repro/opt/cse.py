@@ -64,6 +64,12 @@ def cse_function(func: Function) -> bool:
                     for k, reg in available.items()
                     if reg != dst and dst not in _key_operands(k)
                 }
-                if key is not None and instr.op != Opcode.MOV:
+                # ``r = r + s`` overwrote an operand of its own key: later
+                # ``r + s`` means the new r, which dst does not hold.
+                if (
+                    key is not None
+                    and instr.op != Opcode.MOV
+                    and dst not in _key_operands(key)
+                ):
                     available[key] = dst
     return changed

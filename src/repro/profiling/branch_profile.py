@@ -9,6 +9,7 @@ total branch executions before summing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.ir.instructions import BranchId
@@ -103,11 +104,22 @@ class BranchProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BranchProfile":
+        """Inverse of :meth:`to_dict`, and the one decode path for wire
+        uploads, database files and aggregator snapshots.  Raises
+        ``ValueError`` unless ``runs >= 0`` and every branch's counts are
+        finite with ``0 <= taken <= executed``."""
         profile = cls(program=data["program"], runs=int(data["runs"]))
+        if profile.runs < 0:
+            raise ValueError(f"negative run count {profile.runs}")
         for key, (executed, taken) in data["counts"].items():
             function, _, index = key.rpartition("#")
-            profile.counts[BranchId(function, int(index))] = (
-                float(executed),
-                float(taken),
-            )
+            executed, taken = float(executed), float(taken)
+            # NaN fails every comparison, so it is rejected here too.
+            if not 0.0 <= taken <= executed < math.inf:
+                raise ValueError(
+                    f"branch {key}: counts executed={executed!r}, "
+                    f"taken={taken!r} must be finite with "
+                    "0 <= taken <= executed"
+                )
+            profile.counts[BranchId(function, int(index))] = (executed, taken)
         return profile

@@ -4,13 +4,11 @@ from repro.vm.errors import InstructionLimitExceeded, VMError
 from repro.vm.machine import (
     DEFAULT_MAX_CALL_DEPTH,
     DEFAULT_MAX_INSTRUCTIONS,
-    ENGINES,
     Machine,
     run_program,
 )
 from repro.vm.monitors import (
     BranchMonitor,
-    OnlinePredictorMonitor,
     OutcomeRecorder,
     RunLengthMonitor,
 )
@@ -20,10 +18,8 @@ __all__ = [
     "ControlEvents",
     "DEFAULT_MAX_CALL_DEPTH",
     "DEFAULT_MAX_INSTRUCTIONS",
-    "ENGINES",
     "InstructionLimitExceeded",
     "Machine",
-    "OnlinePredictorMonitor",
     "OutcomeRecorder",
     "RunLengthMonitor",
     "RunResult",

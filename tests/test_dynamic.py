@@ -16,7 +16,6 @@ from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 from repro.prediction.base import FixedPredictor, ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
-from repro.vm.monitors import OnlinePredictorMonitor
 
 ONE_BRANCH = [BranchId("main", 0)]
 
@@ -55,6 +54,10 @@ class TestSaturatingCounters:
             states.append(model.snapshot()[0][0])
         # 0 -> 1 -> 2 -> 3 (saturate) -> 3 -> 2 -> 1 -> 2 -> 1
         assert states == [1, 2, 3, 3, 2, 1, 2, 1]
+        # An infinite table moves only the observed branch's own counter.
+        model.reset([BranchId("main", index) for index in range(3)])
+        model.observe(1, True)
+        assert model.snapshot() == ((0, 1, 0),)
 
     def test_two_bit_hysteresis_survives_one_exception(self):
         # Classic 2-bit property: a single not-taken inside a taken run
@@ -263,48 +266,20 @@ class TestStaticAsDynamic:
         assert self_score <= cross_score
 
 
-class TestInfiniteBimodalMatchesLegacyMonitor:
-    def test_same_numbers_as_online_predictor_monitor(self, doduc_run):
-        """BimodalPredictor(table_size=None) must reproduce the original
-        OnlinePredictorMonitor exactly (the informal experiment depends
-        on it)."""
-        runner, branch_table = doduc_run
-        legacy_one = OnlinePredictorMonitor(num_bits=1)
-        legacy_two = OnlinePredictorMonitor(num_bits=2)
-        monitor = DynamicScoreMonitor(
-            [
-                BimodalPredictor(table_size=None, num_bits=1),
-                BimodalPredictor(table_size=None, num_bits=2),
-            ],
-            branch_table,
-        )
-        result = runner.run(
-            "doduc", "small", monitors=[legacy_one, legacy_two, monitor]
-        )
-        one, two = monitor.scores(result)
-        assert one.mispredicted == legacy_one.misses
-        assert two.mispredicted == legacy_two.misses
-        assert one.percent_correct == legacy_one.accuracy
-        assert two.percent_correct == legacy_two.accuracy
-
-    def test_shim_still_exposes_states(self):
-        monitor = OnlinePredictorMonitor(num_bits=2)
-        monitor.on_run_start(3)
-        monitor.on_branch(1, True, 10)
-        assert monitor.states == [0, 1, 0]
-
-
 class TestVacuousAccuracy:
     def test_monitor_and_report_agree_on_zero_branches(self):
-        from repro.prediction.evaluate import PredictionReport
+        from repro.compiler import compile_source
+        from repro.vm import run_program
 
-        monitor = OnlinePredictorMonitor()
-        monitor.on_run_start(0)
-        report = PredictionReport(
-            program="p", predictor="q", instructions=10,
-            branch_execs=0, mispredicted=0, unavoidable_breaks=0,
+        program = compile_source("func main() { return 0; }").lowered
+        monitor = DynamicScoreMonitor(
+            [BimodalPredictor(table_size=None)], program.branch_table
         )
-        assert monitor.accuracy == report.percent_correct == 1.0
+        result = run_program(program, monitors=[monitor])
+        score = monitor.scores(result)[0]
+        report = evaluate_static(result, FixedPredictor(True))
+        assert score.branch_execs == report.branch_execs == 0
+        assert score.percent_correct == report.percent_correct == 1.0
 
     def test_dynamic_score_agrees(self):
         from repro.dynamic.score import DynamicScore

@@ -60,6 +60,21 @@ def test_cse_removes_duplicate_computation():
     assert dce.instructions < base.instructions
 
 
+def test_cse_does_not_reuse_an_expression_that_overwrote_its_operand():
+    # ``a += b`` leaves a+b in a's own register, so a later ``a + b`` (of
+    # the new a) must be recomputed; CSE used to replace it with a MOV of a.
+    source = """
+    func add_twice(a, b) {
+        a += b;
+        return a + b;
+    }
+    func main() { return add_twice(getc(), getc()); }
+    """
+    data = bytes([1, 1])
+    for options in (CompileOptions.unoptimized(), CompileOptions.paper_default()):
+        assert compile_and_run(source, input_data=data, options=options).exit_code == 3
+
+
 def test_constant_global_becomes_constant():
     source = """
     var MODE = 3;

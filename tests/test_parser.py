@@ -173,3 +173,51 @@ def test_top_level_junk_raises():
 def test_directives_carried_through():
     program = parse_source("//!MF! IFPROB(main, 0, 5, 1)\nfunc main() { }")
     assert program.directives == ["IFPROB(main, 0, 5, 1)"]
+
+
+#: Sources nested ``n`` levels deep, one per kind of nesting the cap covers.
+DEEP_SOURCES = {
+    "parentheses": lambda n: (
+        "func main() { return " + "(" * n + "1" + ")" * n + "; }"
+    ),
+    "unary": lambda n: "func main() { return " + "-" * n + "1; }",
+    "operator-chain": lambda n: (
+        "func main() { var x = 1; return x" + " + x" * n + "; }"
+    ),
+    "call-args": lambda n: (
+        "func f(x) { return x; } func main() { return "
+        + "f(" * n + "1" + ")" * n + "; }"
+    ),
+    "blocks": lambda n: "func main() { " + "{" * n + "}" * n + " return 0; }",
+    "ifs": lambda n: (
+        "func main() { var x = 1; " + "if (x) " * n + "x = 2; return x; }"
+    ),
+    "else-if": lambda n: (
+        "func main() { var x = 1; if (x == 0) x = 1;"
+        + " else if (x == 1) x = 2;" * n + " return x; }"
+    ),
+    "loops": lambda n: (
+        "func main() { var x = 0; " + "while (x) " * n + "x = 0; return x; }"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_SOURCES))
+def test_deep_nesting_is_a_lang_error_naming_the_limit(kind):
+    # Before the cap, 1,000 levels of either expression or statement
+    # nesting escaped as an uncaught RecursionError.
+    from repro.compiler import compile_source
+    from repro.lang.parser import MAX_NESTING
+
+    with pytest.raises(LangError, match=f"limit of {MAX_NESTING} levels"):
+        compile_source(DEEP_SOURCES[kind](1000))
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_SOURCES))
+def test_nesting_just_under_the_limit_compiles_and_runs(kind):
+    from repro.compiler import compile_source
+    from repro.lang.parser import MAX_NESTING
+    from repro.vm import run_program
+
+    program = compile_source(DEEP_SOURCES[kind](MAX_NESTING - 5))
+    assert run_program(program.lowered).exit_code is not None

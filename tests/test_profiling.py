@@ -1,4 +1,6 @@
 """Branch profile and database tests."""
+import json
+
 import pytest
 
 from repro.ir.instructions import BranchId
@@ -80,6 +82,31 @@ def test_profile_round_trips_through_dict():
     assert restored.runs == profile.runs
 
 
+#: Edits that break a profile's count invariants, as (executed, taken).
+BAD_COUNTS = {
+    "negative-executed": (-1.0, 0.0),
+    "negative-taken": (4.0, -1.0),
+    "taken-over-executed": (3.0, 5.0),
+    "nan": (float("nan"), 0.0),
+    "inf": (float("inf"), 1.0),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_COUNTS))
+def test_profile_from_dict_rejects_invalid_counts(edit):
+    data = BranchProfile.from_run(compile_and_run(BIASED_LOOP)).to_dict()
+    data["counts"]["main#0"] = list(BAD_COUNTS[edit])
+    with pytest.raises(ValueError, match="0 <= taken <= executed"):
+        BranchProfile.from_dict(data)
+
+
+def test_profile_from_dict_rejects_negative_runs():
+    data = BranchProfile.from_run(compile_and_run(BIASED_LOOP)).to_dict()
+    data["runs"] = -2
+    with pytest.raises(ValueError, match="negative run count"):
+        BranchProfile.from_dict(data)
+
+
 def test_database_record_and_query():
     database = ProfileDatabase()
     run = compile_and_run(BIASED_LOOP, name="prog")
@@ -117,6 +144,19 @@ def test_database_persistence(tmp_path):
     assert loaded.dataset_profile("prog", "d1").counts == (
         database.dataset_profile("prog", "d1").counts
     )
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_COUNTS))
+def test_database_load_rejects_an_edited_file(tmp_path, edit):
+    database = ProfileDatabase()
+    database.record(compile_and_run(BIASED_LOOP, name="prog"), "d1")
+    path = tmp_path / "profiles.json"
+    database.save(str(path))
+    data = json.loads(path.read_text())
+    data["entries"][0]["profile"]["counts"]["main#0"] = list(BAD_COUNTS[edit])
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="0 <= taken <= executed"):
+        ProfileDatabase.load(str(path))
 
 
 def test_database_record_profile_matches_record(tmp_path):

@@ -264,6 +264,33 @@ def test_server_error_responses_do_not_mutate_state(client):
     assert metrics["errors"]["invalid"] == 1
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(-1.0, 0.0), (4.0, -1.0), (3.0, 5.0), (float("nan"), 0.0),
+     (float("inf"), 1.0)],
+    ids=["negative-executed", "negative-taken", "taken-over-executed",
+         "nan", "inf"],
+)
+def test_server_rejects_invalid_profile_counts(client, counts):
+    # Before validation, one such upload was summed into the shard and
+    # poisoned every later prediction for the program.
+    upload_demo(client)
+    before = client.stats()["stats"]
+    predicted = client.predict("demo", mode="unscaled").profile
+    wire = protocol.profile_to_wire(make_profile("demo", PROFILES["d1"]))
+    wire["counts"]["f#0"] = list(counts)
+    with pytest.raises(ServiceError, match="0 <= taken <= executed"):
+        client.request(
+            protocol.request("upload", program="demo", dataset="d1", profile=wire)
+        )
+    after = client.stats()["stats"]
+    assert after == before  # same epoch, same per-dataset counts
+    assert protocol.canonical_profile_bytes(
+        client.predict("demo", mode="unscaled").profile
+    ) == protocol.canonical_profile_bytes(predicted)
+    assert client.health()["status"] == "ok"
+
+
 # -- fault injection -----------------------------------------------------------
 
 

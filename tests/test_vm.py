@@ -2,10 +2,10 @@
 import pytest
 
 from repro.compiler import compile_source
+from repro.dynamic import BimodalPredictor, DynamicScoreMonitor
 from repro.vm import (
     InstructionLimitExceeded,
     Machine,
-    OnlinePredictorMonitor,
     OutcomeRecorder,
     VMError,
     run_program,
@@ -94,38 +94,48 @@ def test_outcome_recorder_sees_every_branch():
     assert recorder.outcomes[-1] == (0, False)
 
 
+def _online_bimodal(num_bits, source=COUNT_LOOP):
+    """An infinite-table bimodal model scored over one run of ``source``."""
+    program = compile_source(source)
+    monitor = DynamicScoreMonitor(
+        [BimodalPredictor(table_size=None, num_bits=num_bits)],
+        program.lowered.branch_table,
+    )
+    result = run_program(program.lowered, monitors=[monitor])
+    return monitor, monitor.scores(result)[0]
+
+
 def test_online_two_bit_predictor_learns_a_loop():
-    monitor = OnlinePredictorMonitor(num_bits=2)
-    program = compile_source(COUNT_LOOP)
-    run_program(program.lowered, monitors=[monitor])
+    monitor, score = _online_bimodal(num_bits=2)
     # Mispredicts while warming up (2) and at the final not-taken exit (1).
-    assert monitor.misses == 3
-    assert monitor.hits == 98
+    assert score.mispredicted == 3
+    assert monitor.hits == [98]
+    # The loop branch ends one step below saturation after its exit.
+    assert monitor.models[0].snapshot() == ((2,),)
 
 
 def test_online_one_bit_predictor():
-    monitor = OnlinePredictorMonitor(num_bits=1)
-    program = compile_source(COUNT_LOOP)
-    run_program(program.lowered, monitors=[monitor])
+    monitor, score = _online_bimodal(num_bits=1)
     # 1-bit: one warm-up miss, one miss at exit.
-    assert monitor.misses == 2
+    assert score.mispredicted == 2
+    assert monitor.models[0].snapshot() == ((0,),)
 
 
 def test_online_predictor_rejects_bad_width():
-    with pytest.raises(ValueError):
-        OnlinePredictorMonitor(num_bits=3)
+    with pytest.raises(ValueError, match="num_bits"):
+        BimodalPredictor(table_size=None, num_bits=0)
 
 
 def test_monitor_accuracy_property():
-    monitor = OnlinePredictorMonitor(num_bits=2)
-    monitor.on_run_start(1)
     # Zero branch executions is a vacuously perfect prediction, matching
     # PredictionReport.percent_correct for the same degenerate run.
-    assert monitor.accuracy == 1.0
-    monitor.on_branch(0, True, 10)
-    monitor.on_branch(0, True, 20)
-    monitor.on_branch(0, True, 30)
-    assert 0 < monitor.accuracy < 1
+    _, score = _online_bimodal(
+        num_bits=2, source="func main() { return 0; }"
+    )
+    assert score.branch_execs == 0
+    assert score.percent_correct == 1.0
+    _, score = _online_bimodal(num_bits=2)
+    assert 0 < score.percent_correct < 1
 
 
 def test_output_and_percent_taken():

@@ -1,12 +1,13 @@
-"""Differential harness for the predecoded fast-path engine.
+"""Differential harness for the predecoded VM engine.
 
-The fast engine (repro.vm.engine) must be observably indistinguishable
-from the legacy dispatch loop: bit-identical RunResults (instructions,
+``Machine`` (repro.vm.engine's one dispatch loop) must be observably
+indistinguishable from the plain tuple-dispatch oracle in
+``tests/legacy_vm.py``: bit-identical RunResults (instructions,
 per-branch exec/taken, events, output, exit code) and identical monitor
 callback streams, over both generated programs and every bundled
-workload x dataset.  Anything the fast path gets wrong shows up here as
-a disagreement with the legacy loop, which stays in the tree precisely
-to serve as this oracle.
+workload x dataset, monitored and unmonitored.  Anything predecoding,
+fusion or the monitor guards get wrong shows up here as a disagreement
+with the oracle.
 """
 import dataclasses
 
@@ -15,17 +16,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_source
+from repro.ir.opcodes import Opcode
 from repro.vm.engine import (
     FUSIBLE_OPS,
     OP_FUSED,
+    OP_FUSED_BR,
     PredecodedProgram,
     predecode,
 )
 from repro.vm.errors import VMError
-from repro.vm.machine import ENGINES, Machine, run_program
+from repro.vm.machine import Machine
 from repro.vm.monitors import BranchMonitor, OutcomeRecorder, RunLengthMonitor
 from repro.workloads import registry
 from repro.workloads.sourcegen import mf_module
+
+from tests.legacy_vm import LegacyMachine
+
+#: The engine under test and the oracle, by the ids the parametrized
+#: monitor-contract tests use.
+MACHINES = {"fast": Machine, "legacy": LegacyMachine}
 
 
 def as_tuple(result):
@@ -62,8 +71,8 @@ func main() {
 @settings(max_examples=60, deadline=None)
 def test_fast_matches_legacy_on_generated_modules(seed, data):
     program = lowered(mf_module(seed), name=f"p{seed}")
-    fast = Machine(engine="fast").run(program, input_data=data)
-    legacy = Machine(engine="legacy").run(program, input_data=data)
+    fast = Machine().run(program, input_data=data)
+    legacy = LegacyMachine().run(program, input_data=data)
     assert as_tuple(fast) == as_tuple(legacy)
 
 
@@ -72,8 +81,8 @@ def test_fast_matches_legacy_on_generated_modules(seed, data):
 def test_monitored_fast_matches_legacy_on_generated_modules(seed):
     program = lowered(mf_module(seed), name=f"p{seed}")
     recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
-    fast = Machine(engine="fast").run(program, monitors=[recorder_fast])
-    legacy = Machine(engine="legacy").run(program, monitors=[recorder_legacy])
+    fast = Machine().run(program, monitors=[recorder_fast])
+    legacy = LegacyMachine().run(program, monitors=[recorder_legacy])
     assert as_tuple(fast) == as_tuple(legacy)
     assert recorder_fast.outcomes == recorder_legacy.outcomes
 
@@ -86,8 +95,8 @@ def test_fast_matches_legacy_on_workload(workload_name):
     """Bit-identical RunResults for every dataset of every bundled workload."""
     workload = registry.get_workload(workload_name)
     program = lowered(workload.source, name=workload_name)
-    fast = Machine(engine="fast")
-    legacy = Machine(engine="legacy")
+    fast = Machine()
+    legacy = LegacyMachine()
     for dataset in workload.datasets:
         fast_result = fast.run(program, input_data=dataset.data)
         legacy_result = legacy.run(program, input_data=dataset.data)
@@ -104,10 +113,10 @@ def test_monitored_fast_matches_legacy_on_smallest_workload_runs():
         program = lowered(workload.source, name=workload_name)
         dataset = min(workload.datasets, key=lambda ds: len(ds.data))
         recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
-        fast = Machine(engine="fast").run(
+        fast = Machine().run(
             program, input_data=dataset.data, monitors=[recorder_fast]
         )
-        legacy = Machine(engine="legacy").run(
+        legacy = LegacyMachine().run(
             program, input_data=dataset.data, monitors=[recorder_legacy]
         )
         assert as_tuple(fast) == as_tuple(legacy), (workload_name, dataset.name)
@@ -165,27 +174,15 @@ def test_jump_target_scan_fallback_matches_lowering_metadata():
     without_metadata = lowered(LOOPY)
     for func in without_metadata.functions:
         func.jump_targets = None
-    expected = Machine(engine="fast").run(with_metadata)
-    actual = Machine(engine="fast").run(without_metadata)
+    expected = Machine().run(with_metadata)
+    actual = Machine().run(without_metadata)
     assert as_tuple(expected) == as_tuple(actual)
 
 
 def test_fusible_ops_have_no_control_flow():
-    from repro.ir.opcodes import Opcode
-
     control = {Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.ICALL,
                Opcode.RET, Opcode.HALT}
     assert not FUSIBLE_OPS & {int(op) for op in control}
-
-
-def test_engine_selector():
-    program = lowered("func main() { return 41; }")
-    assert Machine(engine="legacy").run(program).exit_code == 41
-    assert Machine(engine="fast").run(program).exit_code == 41
-    assert run_program(program, engine="legacy").exit_code == 41
-    assert set(ENGINES) == {"fast", "legacy"}
-    with pytest.raises(ValueError, match="engine"):
-        Machine(engine="turbo")
 
 
 def test_faults_are_identical_across_engines():
@@ -200,9 +197,9 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="store to bad address"):
-        Machine(engine="fast").run(bad_store)
+        Machine().run(bad_store)
     with pytest.raises(VMError, match="store to bad address"):
-        Machine(engine="legacy").run(bad_store)
+        LegacyMachine().run(bad_store)
 
     div_zero = lowered(
         """
@@ -213,9 +210,9 @@ def test_faults_are_identical_across_engines():
         """
     )
     with pytest.raises(VMError, match="division by zero"):
-        Machine(engine="fast").run(div_zero)
+        Machine().run(div_zero)
     with pytest.raises(VMError, match="division by zero"):
-        Machine(engine="legacy").run(div_zero)
+        LegacyMachine().run(div_zero)
 
 
 # -- monitor contract regressions ---------------------------------------------
@@ -235,20 +232,68 @@ class _ExplodingMonitor(BranchMonitor):
             _ = [][1]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", sorted(MACHINES))
 @pytest.mark.parametrize("exc_type", [ZeroDivisionError, IndexError])
 def test_monitor_bugs_are_not_misattributed_to_the_guest(engine, exc_type):
     # Before the fix, the dispatch loop's broad except arms converted a
     # monitor's own ZeroDivisionError/IndexError into a guest VMError
     # ("division by zero" / "bad register or code reference").
     program = lowered(LOOPY)
-    machine = Machine(engine=engine)
+    machine = MACHINES[engine]()
     with pytest.raises(exc_type) as excinfo:
         machine.run(program, monitors=[_ExplodingMonitor(exc_type)])
     assert not isinstance(excinfo.value, VMError)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+#: Branch 0 is fused into its loop-header run; branches 1 and 2 follow a
+#: CALL/GETC and stay plain BR elements.
+BOTH_BRANCH_SITES = """
+func f(n) { return n & 1; }
+func main() {
+    var i; var acc = 0;
+    for (i = 0; i < 6; i += 1) {
+        if (f(i)) { acc += 1; }
+        if (getc()) { acc += 2; }
+    }
+    return acc;
+}
+"""
+
+
+class _ExplodingAt(BranchMonitor):
+    """Raises its own IndexError at the first outcome of one branch."""
+
+    def __init__(self, branch):
+        self.branch = branch
+
+    def on_branch(self, branch_index, taken, icount):
+        if branch_index == self.branch:
+            _ = [][1]
+
+
+def test_both_branch_sites_report_and_guard_monitors():
+    program = lowered(BOTH_BRANCH_SITES)
+    # One branch index per kind of branch element: {opcode: branch index}.
+    sites = {
+        ins[0]: ins[-1]
+        for func in predecode(program).functions
+        for ins in func.code
+        if ins[0] in (OP_FUSED_BR, int(Opcode.BR))
+    }
+    assert set(sites) == {OP_FUSED_BR, int(Opcode.BR)}
+    recorder_fast, recorder_legacy = OutcomeRecorder(), OutcomeRecorder()
+    fast = Machine().run(program, b"\x00\x01\x02", [recorder_fast])
+    legacy = LegacyMachine().run(program, b"\x00\x01\x02", [recorder_legacy])
+    assert as_tuple(fast) == as_tuple(legacy)
+    assert recorder_fast.outcomes == recorder_legacy.outcomes
+    for branch in sites.values():
+        for machine in (Machine(), LegacyMachine()):
+            with pytest.raises(IndexError) as excinfo:
+                machine.run(program, monitors=[_ExplodingAt(branch)])
+            assert not isinstance(excinfo.value, VMError)
+
+
+@pytest.mark.parametrize("engine", sorted(MACHINES))
 def test_run_length_monitor_flushes_the_tail_run(engine):
     # Before the fix, instructions executed after the last misprediction
     # were silently dropped, so run lengths never summed to the run's
@@ -256,10 +301,13 @@ def test_run_length_monitor_flushes_the_tail_run(engine):
     program = lowered(LOOPY)
     num_branches = len(program.branch_table)
     monitor = RunLengthMonitor([False] * num_branches)
-    result = Machine(engine=engine).run(program, monitors=[monitor])
+    result = MACHINES[engine]().run(program, monitors=[monitor])
     assert monitor.run_lengths
     assert all(length > 0 for length in monitor.run_lengths)
     assert sum(monitor.run_lengths) == result.instructions
+    oracle = RunLengthMonitor([False] * num_branches)
+    LegacyMachine().run(program, monitors=[oracle])
+    assert monitor.run_lengths == oracle.run_lengths
 
 
 def test_run_length_tail_covers_a_fully_predicted_run():

@@ -18,19 +18,6 @@ from repro.analysis.dataflow import DataflowAnalysis, solve
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Instr
 
-#: A definition site: (block label, instruction position within the block).
-DefSite = Tuple[str, int]
-
-
-def def_sites(func: Function) -> Dict[int, Set[DefSite]]:
-    """Register -> all (label, position) sites that define it."""
-    sites: Dict[int, Set[DefSite]] = {}
-    for block in func.blocks:
-        for position, instr in enumerate(block.instrs):
-            if instr.dst is not None:
-                sites.setdefault(instr.dst, set()).add((block.label, position))
-    return sites
-
 
 class ReachingDefinitions(
     DataflowAnalysis[FrozenSet[Tuple[int, str, int]]]

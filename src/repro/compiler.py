@@ -46,6 +46,16 @@ class CompileOptions:
         return cls(opt=OptOptions.with_dce())
 
     @classmethod
+    def from_switches(
+        cls, dce: bool, inline: bool, if_conversion: bool
+    ) -> "CompileOptions":
+        """The default with the DCE, inlining and if-conversion switches
+        set (the axes of ``repro.core.runner.RunConfig`` and ``repro-mf``)."""
+        opt = OptOptions.with_dce() if dce else OptOptions.classical()
+        opt.if_conversion = if_conversion
+        return cls(inline=inline, opt=opt)
+
+    @classmethod
     def unoptimized(cls) -> "CompileOptions":
         """No optimization, no select conversion (debugging baseline)."""
         return cls(enable_select=False, opt=OptOptions.none())

@@ -7,6 +7,7 @@ stale results after a workload or compiler change.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -38,16 +39,72 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
+#: The exact keys of a serialized RunResult and of its events.
+_RUN_KEYS = frozenset(
+    ("program", "instructions", "branch_table", "branch_exec",
+     "branch_taken", "events", "output_hex", "exit_code")
+)
+_EVENT_KEYS = frozenset(field.name for field in dataclasses.fields(ControlEvents))
+
+
+def _is_count(value) -> bool:
+    # ``type`` rather than ``isinstance``: a JSON ``true`` is not a count.
+    return type(value) is int and value >= 0
+
+
+def _require(condition: bool, what: str) -> None:
+    if not condition:
+        raise ValueError(f"malformed run entry: {what}")
+
+
 def run_result_from_dict(data: dict) -> RunResult:
+    """Decode ``run_result_to_dict``'s form, raising ``ValueError`` for
+    anything no run can produce (a corrupt or edited cache entry)."""
+    _require(isinstance(data, dict) and data.keys() == _RUN_KEYS, "keys")
+    events = data["events"]
+    _require(
+        isinstance(events, dict)
+        and events.keys() == _EVENT_KEYS
+        and all(_is_count(count) for count in events.values()),
+        "events",
+    )
+    table = data["branch_table"]
+    executed = data["branch_exec"]
+    taken = data["branch_taken"]
+    _require(
+        type(table) is list and type(executed) is list and type(taken) is list
+        and len(table) == len(executed) == len(taken),
+        "branch list lengths",
+    )
+    _require(
+        all(
+            type(entry) is list and len(entry) == 2
+            and type(entry[0]) is str and _is_count(entry[1])
+            for entry in table
+        ),
+        "branch_table",
+    )
+    _require(
+        all(
+            _is_count(count) and _is_count(hits) and hits <= count
+            for count, hits in zip(executed, taken)
+        ),
+        "branch counts",
+    )
+    _require(
+        type(data["program"]) is str
+        and _is_count(data["instructions"])
+        and type(data["output_hex"]) is str
+        and type(data["exit_code"]) is int,
+        "scalar fields",
+    )
     return RunResult(
         program=data["program"],
         instructions=data["instructions"],
-        branch_table=[
-            BranchId(function, index) for function, index in data["branch_table"]
-        ],
-        branch_exec=list(data["branch_exec"]),
-        branch_taken=list(data["branch_taken"]),
-        events=ControlEvents(**data["events"]),
+        branch_table=[BranchId(function, index) for function, index in table],
+        branch_exec=list(executed),
+        branch_taken=list(taken),
+        events=ControlEvents(**events),
         output=bytes.fromhex(data["output_hex"]),
         exit_code=data["exit_code"],
     )
@@ -90,8 +147,8 @@ class DiskCache:
         try:
             with open(path) as handle:
                 return run_result_from_dict(json.load(handle))
-        except (ValueError, KeyError, TypeError):
-            return None  # corrupt entry: recompute
+        except ValueError:
+            return None  # corrupt or malformed entry: recompute
 
     def store(self, digest: str, result: RunResult) -> None:
         if not self.directory:

@@ -34,7 +34,7 @@ import os
 import random
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import run_digest
 from repro.core.runner import RunConfig, WorkloadRunner
@@ -166,30 +166,19 @@ class ParallelRunner:
     ``jobs > 1`` and the platform allows it, in-process otherwise.
     """
 
-    def __init__(self, runner: WorkloadRunner, jobs: Optional[int] = None):
+    def __init__(self, runner: WorkloadRunner):
         self.runner = runner
-        if jobs is None:
-            jobs = getattr(runner, "jobs", None)
-        self.jobs = resolve_jobs(jobs) if jobs is not None else 1
+        self.jobs = runner.jobs
 
     # -- public API ------------------------------------------------------------
 
-    def run_many(
-        self,
-        requests: Sequence[RunRequest],
-        on_error: str = "raise",
-    ) -> List[Union[RunResult, RunFailure]]:
+    def run_many(self, requests: Sequence[RunRequest]) -> List[RunResult]:
         """Run a batch of triples; results come back in request order.
 
-        ``on_error="raise"`` (the default) raises ParallelExecutionError
-        after the whole batch has been attempted, so the successful runs
-        are already cached; ``on_error="capture"`` instead returns
-        ``RunFailure`` objects in the failed slots.
+        A failed triple raises ParallelExecutionError after the whole
+        batch has been attempted, so the successful runs are already
+        cached.
         """
-        if on_error not in ("raise", "capture"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'capture', got {on_error!r}"
-            )
         unique: Dict[Tuple[str, str, RunConfig], RunRequest] = {}
         for request in requests:
             unique.setdefault(request.key(), request)
@@ -203,16 +192,9 @@ class ParallelRunner:
             else:
                 self._run_serial(misses, unique, failures)
 
-        results: List[Union[RunResult, RunFailure]] = []
-        for request in requests:
-            key = request.key()
-            if key in failures:
-                results.append(failures[key])
-            else:
-                results.append(self.runner._runs[key])
-        if failures and on_error == "raise":
+        if failures:
             raise ParallelExecutionError(list(failures.values()))
-        return results
+        return [self.runner._runs[request.key()] for request in requests]
 
     # -- batch preparation ----------------------------------------------------
 

@@ -7,7 +7,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.compiler import CompiledProgram, CompileOptions, compile_source
 from repro.core.cache import DiskCache, run_digest
-from repro.opt.pipeline import OptOptions
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
 from repro.vm.machine import Machine
@@ -46,18 +45,15 @@ class RunConfig:
         )
 
     def compile_options(self) -> CompileOptions:
-        if self.dce:
-            opt = OptOptions.with_dce()
-        else:
-            opt = OptOptions.classical()
-        opt.if_conversion = self.if_conversion
-        return CompileOptions(inline=self.inline, opt=opt)
+        return CompileOptions.from_switches(
+            self.dce, self.inline, self.if_conversion
+        )
 
 
 class WorkloadRunner:
     """Compiles and executes workloads, memoizing runs in memory and on disk.
 
-    ``jobs`` sets the default fan-out for the batched ``run_many`` path
+    ``jobs`` sets the fan-out of the batched ``run_many`` path
     (``None`` consults the ``REPRO_JOBS`` environment variable, ``0``
     means all cores); single ``run`` calls are always in-process.
 
@@ -99,34 +95,19 @@ class WorkloadRunner:
         if fresh and self.publish is not None:
             self.publish(result, key[1])
 
-    @staticmethod
-    def _config(
-        dce: bool, inline: bool, if_conversion: bool,
-        config: Optional[RunConfig],
-    ) -> RunConfig:
-        if config is not None:
-            return config
-        return RunConfig(dce=dce, inline=inline, if_conversion=if_conversion)
-
     # -- compilation ----------------------------------------------------------
 
     def compiled(
-        self,
-        workload_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        self, workload_name: str, config: RunConfig = RunConfig()
     ) -> CompiledProgram:
         """The compiled program for a workload (cached per configuration)."""
-        run_config = self._config(dce, inline, if_conversion, config)
-        key = (workload_name, run_config)
+        key = (workload_name, config)
         if key not in self._programs:
             workload = get_workload(workload_name)
             self._programs[key] = compile_source(
                 workload.source,
                 name=workload.name,
-                options=run_config.compile_options(),
+                options=config.compile_options(),
             )
         return self._programs[key]
 
@@ -136,22 +117,18 @@ class WorkloadRunner:
         self,
         workload_name: str,
         dataset_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        config: RunConfig = RunConfig(),
         monitors: Sequence[BranchMonitor] = (),
     ) -> RunResult:
         """Run one (workload, dataset, configuration); results are cached
         unless monitors are attached (monitors observe the live stream)."""
-        run_config = self._config(dce, inline, if_conversion, config)
-        key = (workload_name, dataset_name, run_config)
+        key = (workload_name, dataset_name, config)
         if monitors:
             return self._execute(key, monitors)
         if key not in self._runs:
             workload = get_workload(workload_name)
             dataset = workload.dataset(dataset_name)
-            digest = run_digest(workload.source, dataset.data, run_config.tag())
+            digest = run_digest(workload.source, dataset.data, config.tag())
             cached = self._disk.load(digest)
             if cached is None:
                 cached = self._execute(key, ())
@@ -176,10 +153,9 @@ class WorkloadRunner:
             compiled.lowered, input_data=dataset.data, monitors=monitors
         )
 
-    def run_many(self, requests, jobs: Optional[int] = None,
-                 on_error: str = "raise"):
+    def run_many(self, requests):
         """Run a batch of ``RunRequest`` triples, fanning cache misses
-        across worker processes when the effective job count exceeds 1.
+        across ``self.jobs`` worker processes when it exceeds 1.
 
         Results come back in request order and are memoized exactly as
         if each triple had gone through ``run`` — serial and parallel
@@ -187,30 +163,22 @@ class WorkloadRunner:
         """
         from repro.core.parallel import ParallelRunner
 
-        return ParallelRunner(self, jobs=jobs).run_many(
-            requests, on_error=on_error
-        )
+        return ParallelRunner(self).run_many(requests)
 
     def run_all(
-        self,
-        workload_name: str,
-        dce: bool = False,
-        inline: bool = False,
-        if_conversion: bool = False,
-        config: Optional[RunConfig] = None,
+        self, workload_name: str, config: RunConfig = RunConfig()
     ) -> Dict[str, RunResult]:
         """Run a workload on every dataset; dataset name -> result."""
-        run_config = self._config(dce, inline, if_conversion, config)
         workload = get_workload(workload_name)
         names = workload.dataset_names()
         if self.jobs > 1:
             from repro.core.parallel import RunRequest
 
             self.run_many(
-                [RunRequest(workload_name, name, run_config) for name in names]
+                [RunRequest(workload_name, name, config) for name in names]
             )
         return {
-            name: self.run(workload_name, name, config=run_config)
+            name: self.run(workload_name, name, config=config)
             for name in names
         }
 
@@ -220,7 +188,7 @@ class WorkloadRunner:
         self,
         workload_name: str,
         dataset_name: str,
-        config: Optional[RunConfig] = None,
+        config: RunConfig = RunConfig(),
     ) -> BranchProfile:
         """The branch profile of one (workload, dataset) run."""
         return BranchProfile.from_run(

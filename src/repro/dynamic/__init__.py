@@ -9,8 +9,7 @@ from repro.dynamic.base import DynamicPredictor, branch_pc, check_table_size
 from repro.dynamic.bimodal import BimodalPredictor
 from repro.dynamic.gshare import GSharePredictor
 from repro.dynamic.local import TwoLevelLocalPredictor
-from repro.dynamic.score import DynamicScore, DynamicScoreMonitor, ipb_dynamic
-from repro.dynamic.static_adapter import StaticAsDynamic
+from repro.dynamic.score import DynamicScore, DynamicScoreMonitor
 from repro.dynamic.tournament import TournamentPredictor
 from repro.dynamic.zoo import (
     DEFAULT_TABLE_SIZES,
@@ -27,12 +26,10 @@ __all__ = [
     "DynamicScoreMonitor",
     "GSharePredictor",
     "MODEL_FAMILIES",
-    "StaticAsDynamic",
     "TournamentPredictor",
     "TwoLevelLocalPredictor",
     "branch_pc",
     "build_model",
     "check_table_size",
     "default_zoo",
-    "ipb_dynamic",
 ]

@@ -17,46 +17,20 @@ from typing import List, Optional, Sequence
 
 from repro.dynamic.base import DynamicPredictor
 from repro.ir.instructions import BranchId
-from repro.metrics.breaks import predicted_breaks, unavoidable_breaks
+from repro.metrics.breaks import unavoidable_breaks
+from repro.prediction.evaluate import PredictionReport
 from repro.vm.counters import RunResult
 from repro.vm.monitors import BranchMonitor
 
 
 @dataclasses.dataclass
-class DynamicScore:
-    """How one predictor did against one run (the dynamic analogue of
-    :class:`~repro.prediction.evaluate.PredictionReport`)."""
+class DynamicScore(PredictionReport):
+    """How one predictor did against one run: a
+    :class:`~repro.prediction.evaluate.PredictionReport` plus the model's
+    table size and hardware budget."""
 
-    program: str
-    predictor: str
     table_size: Optional[int]
     budget_bits: Optional[int]
-    instructions: int
-    branch_execs: int
-    mispredicted: int
-    unavoidable_breaks: int
-
-    @property
-    def correct(self) -> int:
-        return self.branch_execs - self.mispredicted
-
-    @property
-    def percent_correct(self) -> float:
-        """Fraction of branch executions predicted correctly; vacuously
-        1.0 when no branches executed (nothing was predicted wrongly)."""
-        if self.branch_execs == 0:
-            return 1.0
-        return self.correct / self.branch_execs
-
-    @property
-    def breaks(self) -> int:
-        return self.mispredicted + self.unavoidable_breaks
-
-    @property
-    def instructions_per_break(self) -> float:
-        """Instructions per mispredicted branch or unavoidable break."""
-        breaks = self.breaks
-        return self.instructions / breaks if breaks else float(self.instructions)
 
 
 class DynamicScoreMonitor(BranchMonitor):
@@ -117,10 +91,3 @@ class DynamicScoreMonitor(BranchMonitor):
     def scores(self, run: RunResult) -> List[DynamicScore]:
         """One :class:`DynamicScore` per model, in model order."""
         return [self.score(index, run) for index in range(len(self.models))]
-
-
-def ipb_dynamic(run: RunResult, score: DynamicScore) -> float:
-    """Instructions per break for a dynamic score, through the same
-    ``BreakPolicy`` arithmetic the static metrics use."""
-    breaks = predicted_breaks(run, score.mispredicted)
-    return run.instructions / breaks if breaks else float(run.instructions)

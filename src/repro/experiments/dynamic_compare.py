@@ -15,11 +15,12 @@ mispredict measures are reported, so the headline question — *where does
 cross-run profile prediction hold up against hardware, and where does it
 lose?* — is answerable per program and per hardware budget.
 
-The plain (monitor-free) runs every static predictor needs are prewarmed
-through ``run_many``, so ``--jobs N`` fans the simulations across
-processes; the monitored scoring passes are deterministic re-executions
-and happen in-process, which keeps serial and parallel output
-byte-identical.
+The static rows are scored from the plain (monitor-free) runs' counters
+by ``evaluate_static``; those runs are prewarmed through ``run_many``, so
+``--jobs N`` fans the simulations across processes.  Only the hardware
+zoo, whose predictions depend on outcome order, needs a monitored pass;
+those are deterministic re-executions and happen in-process, which keeps
+serial and parallel output byte-identical.
 """
 from __future__ import annotations
 
@@ -29,12 +30,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.parallel import dataset_requests
 from repro.core.runner import WorkloadRunner
 from repro.dynamic.score import DynamicScoreMonitor
-from repro.dynamic.static_adapter import StaticAsDynamic
 from repro.dynamic.zoo import DEFAULT_TABLE_SIZES, default_zoo
 from repro.experiments.charts import ascii_bars
 from repro.experiments.report import TextTable
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.combine import combine_profiles
+from repro.prediction.evaluate import PredictionReport, evaluate_static
 from repro.profiling.branch_profile import BranchProfile
 
 #: Default program set: FORTRAN (doduc, fpppp) vs systems C (gcc,
@@ -180,48 +181,50 @@ def run(
     runner.run_many(dataset_requests(workloads))
 
     rows: List[DynamicCompareRow] = []
-    predictor_order: List[str] = []
+
+    def add_row(dataset: str, score: PredictionReport,
+                table_size: Optional[int], budget_bits: Optional[int]) -> None:
+        rows.append(
+            DynamicCompareRow(
+                program=score.program,
+                dataset=dataset,
+                predictor=score.predictor,
+                table_size=table_size,
+                budget_bits=budget_bits,
+                branch_execs=score.branch_execs,
+                mispredicted=score.mispredicted,
+                percent_correct=score.percent_correct,
+                ipb=score.instructions_per_break,
+            )
+        )
+
     for workload in workloads:
+        runs = runner.run_all(workload.name)
         profiles = {
             dataset: BranchProfile.from_run(run_result)
-            for dataset, run_result in runner.run_all(workload.name).items()
+            for dataset, run_result in runs.items()
         }
         branch_table = runner.compiled(workload.name).lowered.branch_table
         for dataset in workload.dataset_names():
-            models = [
-                StaticAsDynamic(
-                    ProfilePredictor(profiles[dataset], name="self"),
-                    name="static-self",
-                ),
-                StaticAsDynamic(
-                    _cross_predictor(profiles, dataset, workload.name),
-                    name="static-cross",
-                ),
+            # A static predictor fixes one direction per branch, so its
+            # mispredicts follow from the run's counters alone.
+            statics = [
+                ProfilePredictor(profiles[dataset], name="static-self"),
+                _cross_predictor(profiles, dataset, workload.name),
             ]
-            models.extend(default_zoo(sizes))
-            if not predictor_order:
-                predictor_order = [model.name for model in models]
-            monitor = DynamicScoreMonitor(models, branch_table)
+            for predictor in statics:
+                add_row(dataset, evaluate_static(runs[dataset], predictor),
+                        None, None)
+            monitor = DynamicScoreMonitor(default_zoo(sizes), branch_table)
             run_result = runner.run(
                 workload.name, dataset, monitors=[monitor]
             )
             for score in monitor.scores(run_result):
-                rows.append(
-                    DynamicCompareRow(
-                        program=workload.name,
-                        dataset=dataset,
-                        predictor=score.predictor,
-                        table_size=score.table_size,
-                        budget_bits=score.budget_bits,
-                        branch_execs=score.branch_execs,
-                        mispredicted=score.mispredicted,
-                        percent_correct=score.percent_correct,
-                        ipb=score.instructions_per_break,
-                    )
-                )
+                add_row(dataset, score, score.table_size, score.budget_bits)
     return DynamicCompareResult(
         rows=rows,
         programs=program_names,
         table_sizes=sizes,
-        predictor_order=predictor_order,
+        predictor_order=list(STATIC_PREDICTORS)
+        + [model.name for model in default_zoo(sizes)],
     )

@@ -86,10 +86,8 @@ def run(runner: Optional[WorkloadRunner] = None) -> Table1Result:
         default_total = sum(
             result.instructions for result in runner.run_all(program).values()
         )
-        dce_total = sum(
-            result.instructions
-            for result in runner.run_all(program, dce=True).values()
-        )
+        dce_runs = runner.run_all(program, config=RunConfig(dce=True))
+        dce_total = sum(result.instructions for result in dce_runs.values())
         rows.append(
             Table1Row(
                 program=program,

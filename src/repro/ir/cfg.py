@@ -128,13 +128,6 @@ class Module:
         """Whether a function with the given name exists."""
         return any(func.name == name for func in self.functions)
 
-    def global_var(self, name: str) -> GlobalVar:
-        """Look up a global by name."""
-        for var in self.globals:
-            if var.name == name:
-                return var
-        raise IRError(f"module {self.name!r} has no global {name!r}")
-
     def branch_ids(self) -> List[BranchId]:
         """Identities of all conditional branches in the module."""
         ids: List[BranchId] = []

@@ -36,7 +36,7 @@ whose target is the immediately following block is elided.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import BasicBlock, Function, IRError, Module
 from repro.ir.instructions import BranchId, Instr
@@ -52,14 +52,6 @@ class LoweredFunction:
     num_params: int
     num_regs: int
     code: List[Tuple[Any, ...]]
-    #: Decode metadata: every pc a BR/JMP in this function can transfer to.
-    #: The fast-path engine (:mod:`repro.vm.engine`) breaks superinstruction
-    #: fusion at these pcs so every jump target stays addressable after
-    #: decoding.  ``None`` means "unknown" (a hand-built function); the
-    #: engine then derives the set by scanning ``code``.
-    jump_targets: Optional[FrozenSet[int]] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
 
 @dataclasses.dataclass
@@ -173,16 +165,10 @@ def _lower_function(
             pc += 1
 
     code: List[Tuple[Any, ...]] = []
-    jump_targets: Set[int] = set()
     for position, block in enumerate(blocks):
         for instr in block.instrs:
             if _is_fallthrough_jump(blocks, position, instr):
                 continue
-            if instr.op == Opcode.BR:
-                jump_targets.add(block_pcs[instr.then_label])
-                jump_targets.add(block_pcs[instr.else_label])
-            elif instr.op == Opcode.JMP:
-                jump_targets.add(block_pcs[instr.then_label])
             code.append(
                 _lower_instr(
                     instr, block_pcs, symbols, function_index, branch_table,
@@ -195,7 +181,6 @@ def _lower_function(
         num_params=func.num_params,
         num_regs=func.num_regs,
         code=code,
-        jump_targets=frozenset(jump_targets),
     )
 
 

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.prediction.combine import COMBINE_MODES, combine_profiles
 from repro.profiling.branch_profile import BranchProfile
 from repro.profiling.database import ProfileDatabase
-from repro.vm.counters import RunResult
 
 DEFAULT_SHARDS = 8
 
@@ -133,12 +132,6 @@ class Aggregator:
             shard.database.record_profile(program, dataset, profile)
             shard.dirty = True
         return self._bump_epoch()
-
-    def record_run(self, run: RunResult, dataset: str) -> int:
-        """Convenience for in-process callers holding a full RunResult."""
-        return self.record_profile(
-            run.program, dataset, BranchProfile.from_run(run)
-        )
 
     # -- queries ------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.metrics.ipb import (
     ipb_self_prediction,
     ipb_with_predictor,
 )
-from repro.opt.pipeline import OptOptions
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
 from repro.profiling.database import ProfileDatabase
@@ -38,11 +37,7 @@ from repro.vm.machine import run_program
 
 
 def _compile_options(args) -> CompileOptions:
-    opt = OptOptions.with_dce() if getattr(args, "dce", False) else (
-        OptOptions.classical()
-    )
-    opt.if_conversion = getattr(args, "ifconvert", False)
-    return CompileOptions(inline=getattr(args, "inline", False), opt=opt)
+    return CompileOptions.from_switches(args.dce, args.inline, args.ifconvert)
 
 
 def _read_input(args) -> bytes:
@@ -167,12 +162,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_dynsim(args) -> int:
-    from repro.dynamic import DynamicScoreMonitor, StaticAsDynamic, default_zoo
+    from repro.dynamic import DynamicScoreMonitor, default_zoo
 
     source = _load_source(args.program)
     name = _program_name(args.program)
     compiled = compile_source(source, name=name, options=_compile_options(args))
-    models = []
+    feedback = None
     if args.db:
         database = ProfileDatabase.load(args.db)
         profile = database.program_profile(name)
@@ -180,14 +175,9 @@ def cmd_dynsim(args) -> int:
             print(f"error: no counts recorded for {name!r} in {args.db}",
                   file=sys.stderr)
             return 1
-        models.append(
-            StaticAsDynamic(
-                ProfilePredictor(profile, name="feedback"),
-                name="static-feedback",
-            )
-        )
+        feedback = ProfilePredictor(profile, name="static-feedback")
     try:
-        models.extend(default_zoo(args.table_size or (64, 256, 1024)))
+        models = default_zoo(args.table_size or (64, 256, 1024))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -199,8 +189,14 @@ def cmd_dynsim(args) -> int:
           f"{result.total_branch_execs} branch executions")
     print(f"{'predictor':<18} {'budget(bits)':>12} {'% correct':>10} "
           f"{'instrs/mispredict':>18}")
-    for score in monitor.scores(result):
-        budget = "-" if score.budget_bits is None else str(score.budget_bits)
+    # The static row is scored from the run's counters; only the zoo
+    # needs the monitored outcome stream.
+    rows = [] if feedback is None else [(evaluate_static(result, feedback), "-")]
+    rows.extend(
+        (score, "-" if score.budget_bits is None else str(score.budget_bits))
+        for score in monitor.scores(result)
+    )
+    for score, budget in rows:
         print(f"{score.predictor:<18} {budget:>12} "
               f"{score.percent_correct:>9.1%} "
               f"{score.instructions_per_break:>18.1f}")

@@ -251,9 +251,7 @@ def _predecode_function(
 ) -> PredecodedFunction:
     code = func.code
     length = len(code)
-    targets = func.jump_targets
-    if targets is None:  # hand-built LoweredFunction: derive the metadata
-        targets = _scan_jump_targets(code)
+    targets = _scan_jump_targets(code)
 
     # Segment the code.  Each segment becomes exactly one decoded element:
     # either a fused run (ops, optionally an absorbed terminator) or a

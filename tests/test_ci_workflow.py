@@ -70,6 +70,11 @@ def test_jobs_run_the_advertised_commands(workflow):
     assert any(
         "repro-mf lint" in line for line in _run_lines(jobs["examples"])
     ), "the examples job must IR-lint the bundled programs"
+    assert any(
+        "export --no-cache" in line
+        and "sha256sum -c tests/golden/export.sha256" in line
+        for line in _run_lines(jobs["examples"])
+    ), "the examples job must check export bytes against the golden hash"
 
 
 def test_setup_python_uses_pip_caching(workflow):

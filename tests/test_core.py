@@ -1,4 +1,6 @@
 """Core runner and cross-dataset experiment machinery tests."""
+import json
+
 import pytest
 
 from repro.core.cache import (
@@ -50,6 +52,45 @@ def test_run_result_serialization_is_lossless(runner):
     assert restored.branch_taken == result.branch_taken
     assert restored.events == result.events
     assert restored.exit_code == result.exit_code
+
+
+def _taken_exceeds_executed(data):
+    index = next(i for i, hits in enumerate(data["branch_taken"]) if hits)
+    data["branch_taken"][index] = data["branch_exec"][index] + 1
+
+
+#: Edits that turn a genuine cache entry into one no run can produce.
+MALFORMED_ENTRY_EDITS = {
+    "short-branch-exec": lambda data: data["branch_exec"].pop(),
+    "negative-instructions": lambda data: data.update(instructions=-1),
+    "taken-exceeds-executed": _taken_exceeds_executed,
+    "float-count": lambda data: data["branch_exec"].__setitem__(0, 1.5),
+    "bool-count": lambda data: data.update(instructions=True),
+    "missing-event": lambda data: data["events"].pop("jumps"),
+    "unknown-key": lambda data: data.update(extra=0),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_doduc_tiny():
+    return WorkloadRunner(cache_dir=None).run("doduc", "tiny")
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_ENTRY_EDITS))
+def test_malformed_cache_entry_is_rejected_and_recomputed(
+    tmp_path, fresh_doduc_tiny, edit
+):
+    """A cache entry no run can produce is a miss: decoding raises
+    ValueError, and the runner recomputes the true result."""
+    WorkloadRunner(cache_dir=str(tmp_path)).run("doduc", "tiny")
+    (path,) = tmp_path.glob("*.json")
+    data = json.loads(path.read_text())
+    MALFORMED_ENTRY_EDITS[edit](data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed run entry"):
+        run_result_from_dict(data)
+    rerun = WorkloadRunner(cache_dir=str(tmp_path)).run("doduc", "tiny")
+    assert run_result_to_dict(rerun) == run_result_to_dict(fresh_doduc_tiny)
 
 
 def test_run_config_tag_is_injective_over_flags():

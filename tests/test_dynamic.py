@@ -5,7 +5,6 @@ from repro.dynamic import (
     BimodalPredictor,
     DynamicScoreMonitor,
     GSharePredictor,
-    StaticAsDynamic,
     TournamentPredictor,
     TwoLevelLocalPredictor,
     branch_pc,
@@ -15,7 +14,7 @@ from repro.dynamic import (
 from repro.experiments import dynamic_compare
 from repro.ir.instructions import BranchId
 from repro.prediction.base import FixedPredictor, ProfilePredictor
-from repro.prediction.evaluate import evaluate_static
+from repro.prediction.evaluate import evaluate_static, self_prediction
 
 ONE_BRANCH = [BranchId("main", 0)]
 
@@ -206,7 +205,6 @@ class TestBudgets:
         assert GSharePredictor(table_size=1024).budget_bits() == 2048 + 10
         local = TwoLevelLocalPredictor(table_size=1024)
         assert local.budget_bits() == 1024 * 10 + 1024 * 2
-        assert StaticAsDynamic(FixedPredictor(True)).budget_bits() is None
 
     def test_zoo_builds_every_family_at_every_size(self):
         zoo = default_zoo(table_sizes=(16, 64))
@@ -228,42 +226,19 @@ def doduc_run(runner):
 
 
 class TestStaticAsDynamic:
-    @pytest.mark.parametrize("predictor_dataset", ["tiny", "small"])
-    def test_mispredicts_match_evaluate_static(
-        self, doduc_run, predictor_dataset
-    ):
-        """The adapter, scored event-by-event on the live stream, must
-        agree exactly with the counter arithmetic of evaluate_static."""
-        runner, branch_table = doduc_run
-        profile = runner.profile("doduc", predictor_dataset)
-        predictor = ProfilePredictor(profile, name=predictor_dataset)
-        monitor = DynamicScoreMonitor(
-            [StaticAsDynamic(predictor)], branch_table
-        )
-        result = runner.run("doduc", "ref", monitors=[monitor])
-        report = evaluate_static(result, predictor)
-        score = monitor.scores(result)[0]
-        assert score.mispredicted == report.mispredicted
-        assert score.branch_execs == report.branch_execs
-        assert score.percent_correct == report.percent_correct
-        assert score.instructions_per_break == report.instructions_per_break
+    """Static predictors on the dynamic comparison's runs, scored from
+    the run's counters by ``evaluate_static``."""
 
     def test_self_prediction_is_static_optimum(self, doduc_run):
-        runner, branch_table = doduc_run
-        self_profile = runner.profile("doduc", "tiny")
-        cross_profile = runner.profile("doduc", "ref")
-        monitor = DynamicScoreMonitor(
-            [
-                StaticAsDynamic(ProfilePredictor(self_profile, name="self")),
-                StaticAsDynamic(ProfilePredictor(cross_profile, name="x")),
-            ],
-            branch_table,
+        runner, _ = doduc_run
+        target = runner.run("doduc", "tiny")
+        self_report = evaluate_static(
+            target, ProfilePredictor(runner.profile("doduc", "tiny"), name="self")
         )
-        runner.run("doduc", "tiny", monitors=[monitor])
-        self_score, cross_score = (
-            monitor.mispredicts[0], monitor.mispredicts[1]
+        cross_report = evaluate_static(
+            target, ProfilePredictor(runner.profile("doduc", "ref"), name="x")
         )
-        assert self_score <= cross_score
+        assert self_report.mispredicted <= cross_report.mispredicted
 
 
 class TestVacuousAccuracy:
@@ -335,6 +310,14 @@ class TestDynamicCompareExperiment:
             self_row = by_key[(dataset, "static-self")]
             cross_row = by_key[(dataset, "static-cross")]
             assert self_row.mispredicted <= cross_row.mispredicted
+
+    def test_static_rows_are_scored_from_counters(self, runner, result):
+        runs = runner.run_all("doduc")
+        for row in result.rows_for("doduc", "static-self"):
+            report = self_prediction(runs[row.dataset])
+            assert row.mispredicted == report.mispredicted
+            assert row.ipb == report.instructions_per_break
+            assert row.table_size is None and row.budget_bits is None
 
     def test_formatting(self, result):
         text = result.format_text()

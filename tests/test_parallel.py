@@ -6,7 +6,6 @@ import pytest
 from repro.core.cache import run_result_to_dict
 from repro.core.parallel import (
     ParallelExecutionError,
-    RunFailure,
     RunRequest,
     dataset_requests,
     resolve_jobs,
@@ -50,29 +49,17 @@ def test_run_many_preserves_request_order_and_duplicates(tmp_path):
 
 def test_error_isolation_bad_triple_does_not_poison_batch(tmp_path):
     runner = WorkloadRunner(cache_dir=str(tmp_path), jobs=2)
-    requests = SWEEP + [RunRequest("doduc", "nope")]
+    requests = SWEEP + [
+        RunRequest("doduc", "nope"), RunRequest("no-such-workload", "x")
+    ]
     with pytest.raises(ParallelExecutionError) as info:
         runner.run_many(requests)
     assert "doduc/nope" in str(info.value)
-    assert len(info.value.failures) == 1
+    assert "no-such-workload/x" in str(info.value)
+    assert len(info.value.failures) == 2
     # The good triples completed and were memoized despite the failure.
     for request in SWEEP:
         assert request.key() in runner._runs
-
-
-def test_error_capture_mode_returns_failures_in_place(tmp_path):
-    runner = WorkloadRunner(cache_dir=str(tmp_path), jobs=2)
-    requests = [RunRequest("no-such-workload", "x")] + SWEEP
-    results = runner.run_many(requests, on_error="capture")
-    assert isinstance(results[0], RunFailure)
-    assert "no-such-workload" in results[0].summary()
-    assert not any(isinstance(result, RunFailure) for result in results[1:])
-
-
-def test_run_many_rejects_unknown_on_error_mode(tmp_path):
-    runner = WorkloadRunner(cache_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="on_error"):
-        runner.run_many(SWEEP, on_error="ignore")
 
 
 def test_disabled_disk_cache_falls_back_to_in_process():

@@ -167,18 +167,6 @@ def test_fusion_collapses_straight_line_runs():
         assert expanded == len(original.code)
 
 
-def test_jump_target_scan_fallback_matches_lowering_metadata():
-    """A hand-built function (jump_targets=None) decodes via the scan
-    fallback to the same behaviour as the lowering-provided metadata."""
-    with_metadata = lowered(LOOPY)
-    without_metadata = lowered(LOOPY)
-    for func in without_metadata.functions:
-        func.jump_targets = None
-    expected = Machine().run(with_metadata)
-    actual = Machine().run(without_metadata)
-    assert as_tuple(expected) == as_tuple(actual)
-
-
 def test_fusible_ops_have_no_control_flow():
     control = {Opcode.BR, Opcode.JMP, Opcode.CALL, Opcode.ICALL,
                Opcode.RET, Opcode.HALT}

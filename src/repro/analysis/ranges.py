@@ -24,7 +24,7 @@ from typing import Dict, Mapping, Optional
 from repro.analysis.dataflow import DataflowAnalysis, DataflowResult, solve
 from repro.ir.cfg import BasicBlock, Function
 from repro.ir.instructions import Instr
-from repro.ir.opcodes import BinOp, Opcode, UnOp
+from repro.ir.opcodes import NEGATED_COMPARISON, BinOp, Opcode, UnOp
 
 
 @dataclasses.dataclass(frozen=True)
@@ -341,15 +341,7 @@ def _refine_by_comparison(
     assert instr.subop is not None
     op = BinOp(instr.subop)
     if not outcome:
-        negations = {
-            BinOp.EQ: BinOp.NE,
-            BinOp.NE: BinOp.EQ,
-            BinOp.LT: BinOp.GE,
-            BinOp.LE: BinOp.GT,
-            BinOp.GT: BinOp.LE,
-            BinOp.GE: BinOp.LT,
-        }
-        op = negations[op]
+        op = NEGATED_COMPARISON[op]
     a = state.get(instr.a, TOP)
     b = state.get(instr.b, TOP)
 

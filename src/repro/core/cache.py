@@ -2,25 +2,26 @@
 
 Simulating every (program, dataset) takes seconds; every table and figure is
 arithmetic over the same runs.  The cache keys on a digest of the program
-source, the input bytes and the compile configuration, so it can never serve
-stale results after a workload or compiler change.
+source, the input bytes, the compile configuration and a fingerprint of the
+toolchain code (compiler, optimizer, VM, workloads and this module), so it
+can never serve stale results after a workload, compiler or VM change.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-import tempfile
 from typing import Optional
 
+from repro.fileio import write_json_atomic
 from repro.ir.instructions import BranchId
 from repro.vm.counters import ControlEvents, RunResult
 
-#: Bump when the RunResult layout, counting semantics, or digest scheme
-#: change.  v4: length-prefixed digest fields (the v3 ``|``-joined form was
-#: not injective across field boundaries).
-CACHE_FORMAT_VERSION = 4
+#: Subpackages of ``repro`` that only read run results, so their code is
+#: left out of the toolchain fingerprint.
+_NOT_TOOLCHAIN = ("experiments", "serve", "tools")
 
 
 def run_result_to_dict(result: RunResult) -> dict:
@@ -110,6 +111,35 @@ def run_result_from_dict(data: dict) -> RunResult:
     )
 
 
+def _length_prefixed(hasher, *fields: bytes) -> None:
+    for field in fields:
+        hasher.update(b"%d:" % len(field))
+        hasher.update(field)
+
+
+@functools.lru_cache(maxsize=None)
+def _toolchain_fingerprint() -> bytes:
+    """sha256 over the path and bytes of every ``.py`` file under
+    ``repro`` outside ``_NOT_TOOLCHAIN``: any change to the code that
+    decides a run's result (or to the cache format, defined here and in
+    ``vm/counters.py``) changes every digest.  Computed once per process.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    files = []
+    for directory, subdirs, names in os.walk(root):
+        if directory == root:
+            subdirs[:] = [name for name in subdirs if name not in _NOT_TOOLCHAIN]
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                files.append((os.path.relpath(path, root).replace(os.sep, "/"), path))
+    hasher = hashlib.sha256()
+    for relative, path in sorted(files):
+        with open(path, "rb") as handle:
+            _length_prefixed(hasher, relative.encode(), handle.read())
+    return hasher.digest()
+
+
 def run_digest(source: str, input_data: bytes, config: str) -> str:
     """Digest identifying one run for caching purposes.
 
@@ -119,11 +149,8 @@ def run_digest(source: str, input_data: bytes, config: str) -> str:
     ``(source="x|y", input=b"z")`` vs ``(source="x", input=b"y|z")`` —
     and serve the wrong cached run.
     """
-    hasher = hashlib.sha256()
-    hasher.update(f"v{CACHE_FORMAT_VERSION}".encode())
-    for field in (config.encode(), source.encode(), input_data):
-        hasher.update(b"%d:" % len(field))
-        hasher.update(field)
+    hasher = hashlib.sha256(_toolchain_fingerprint())
+    _length_prefixed(hasher, config.encode(), source.encode(), input_data)
     return hasher.hexdigest()[:32]
 
 
@@ -138,7 +165,10 @@ class DiskCache:
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.json")
 
-    def load(self, digest: str) -> Optional[RunResult]:
+    def load(self, digest: str, program: str) -> Optional[RunResult]:
+        """The cached run of ``program`` under ``digest``, or ``None``: a
+        missing, corrupt or malformed entry, or one recorded for another
+        program, is a miss and gets recomputed."""
         if not self.directory:
             return None
         path = self._path(digest)
@@ -146,29 +176,11 @@ class DiskCache:
             return None
         try:
             with open(path) as handle:
-                return run_result_from_dict(json.load(handle))
+                result = run_result_from_dict(json.load(handle))
         except ValueError:
-            return None  # corrupt or malformed entry: recompute
+            return None
+        return result if result.program == program else None
 
     def store(self, digest: str, result: RunResult) -> None:
-        if not self.directory:
-            return
-        path = self._path(digest)
-        # Unique per-writer temp file: a shared "<path>.tmp" lets two
-        # parallel workers storing the same digest interleave writes (and
-        # race the final rename), leaving a corrupt or vanished entry.
-        # mkstemp in the cache directory keeps the os.replace atomic
-        # (same filesystem) while giving each writer its own file.
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f"{digest}.", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(run_result_to_dict(result), handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        if self.directory:
+            write_json_atomic(self._path(digest), run_result_to_dict(result))

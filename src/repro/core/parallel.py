@@ -4,25 +4,26 @@ Every experiment sweep is arithmetic over many independent
 (workload, dataset, RunConfig) triples, and simulating a triple takes
 seconds while aggregating it takes microseconds.  ``ParallelRunner``
 fans the *cache misses* of such a sweep across a
-``concurrent.futures.ProcessPoolExecutor``, using the on-disk run cache
-as the cross-process result substrate: workers execute misses and write
-``RunResult``s through ``DiskCache``; the parent loads the digests back.
-Because both paths serialize through the same cache format, serial and
-parallel execution return byte-identical results.
+``concurrent.futures.ProcessPoolExecutor``.
 
 Design points (see docs/PARALLEL.md for the long form):
 
-* **Cache as IPC.**  Workers never ship ``RunResult``s over the pool
-  pipe — they publish to the shared ``DiskCache`` and return only an
-  error slot.  The parent re-loads by digest, so a result computed in a
-  worker is indistinguishable from one computed locally.
+* **Results over the pipe; one cache writer.**  A worker executes a miss
+  on a runner with no cache and returns the ``RunResult`` in the run
+  cache's dict form.  The parent decodes it exactly as it decodes a cache
+  hit, stores it as it arrives, and is the only process that writes the
+  cache — so serial and parallel execution return byte-identical
+  results, with or without a disk cache.
+* **Serial publish order.**  Results are memoized in request order once
+  the batch is done, so the runner's publish hook fires in the same
+  order as a serial run.
 * **Deterministic seeding.**  Each worker seeds the global ``random``
   module from the run's digest before executing, so any stochastic code
   path is reproducible regardless of which worker picks up which run.
-* **Graceful fallback.**  ``jobs <= 1``, a single miss, a disabled disk
-  cache, or a platform without fork/spawn all degrade to in-process
-  execution through the exact serial path.  A broken pool (a worker
-  killed by the OS) retries the misses serially rather than failing.
+* **Graceful fallback.**  ``jobs <= 1`` or a single miss runs in-process
+  through the exact serial path.  A broken pool (a worker killed by the
+  OS, a platform that cannot start workers) retries the runs it did not
+  return serially rather than failing.
 * **Per-run error capture.**  A failing triple is reported as a
   ``RunFailure`` naming the triple; it never poisons the rest of the
   batch, which completes and is cached normally.
@@ -36,7 +37,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.cache import run_digest
+from repro.core.cache import run_digest, run_result_from_dict, run_result_to_dict
 from repro.core.runner import RunConfig, WorkloadRunner
 from repro.vm.counters import RunResult
 from repro.workloads.base import Workload
@@ -126,28 +127,30 @@ def dataset_requests(
 _WORKER_RUNNER: Optional[WorkloadRunner] = None
 
 
-def _worker_init(cache_dir: Optional[str]) -> None:
+def _worker_init() -> None:
     """Build one runner per worker process so compiled programs — and the
     fast engine's predecoded form cached on them — are reused across the
     runs a worker executes."""
     global _WORKER_RUNNER
-    _WORKER_RUNNER = WorkloadRunner(cache_dir=cache_dir)
+    _WORKER_RUNNER = WorkloadRunner(cache_dir=None)
 
 
 def _worker_execute(
     workload: str, dataset: str, config: RunConfig, seed: int
-) -> Optional[str]:
-    """Execute one cache miss; publish the result via the disk cache.
+) -> Tuple[Optional[dict], Optional[str]]:
+    """Execute one cache miss.
 
-    Returns ``None`` on success or a formatted traceback on failure —
-    never raises, so one bad triple cannot poison the pool.
+    Returns ``(run_result_to_dict(result), None)`` on success or
+    ``(None, traceback)`` on failure — never raises, so one bad triple
+    cannot poison the pool.  ``_execute`` rather than ``run``: the worker
+    has no cache to consult or fill.
     """
     random.seed(seed)
     try:
-        _WORKER_RUNNER.run(workload, dataset, config=config)
-        return None
+        result = _WORKER_RUNNER._execute((workload, dataset, config), ())
     except Exception:
-        return traceback.format_exc()
+        return None, traceback.format_exc()
+    return run_result_to_dict(result), None
 
 
 def _digest_seed(digest: str) -> int:
@@ -163,7 +166,7 @@ class ParallelRunner:
 
     The parent runner's in-memory memo and disk cache are consulted
     first; only genuine misses are executed, in a process pool when
-    ``jobs > 1`` and the platform allows it, in-process otherwise.
+    ``jobs > 1``, in-process otherwise.
     """
 
     def __init__(self, runner: WorkloadRunner):
@@ -187,7 +190,7 @@ class ParallelRunner:
         digests = self._prepare(unique, failures)
         misses = self._serve_disk_hits(digests)
         if misses:
-            if self._pool_usable(len(misses)):
+            if self.jobs > 1 and len(misses) > 1:
                 self._run_pool(misses, unique, digests, failures)
             else:
                 self._run_serial(misses, unique, failures)
@@ -220,7 +223,7 @@ class ParallelRunner:
         """Memoize disk-cached results; return the keys still missing."""
         misses = []
         for key, digest in digests.items():
-            cached = self.runner._disk.load(digest)
+            cached = self.runner._disk.load(digest, key[0])
             if cached is not None:
                 self.runner._memoize(key, cached)
             else:
@@ -228,18 +231,6 @@ class ParallelRunner:
         return misses
 
     # -- execution -------------------------------------------------------------
-
-    def _pool_usable(self, miss_count: int) -> bool:
-        if self.jobs <= 1 or miss_count <= 1:
-            return False
-        if not self.runner._disk.directory:
-            return False  # no shared substrate to publish results through
-        try:
-            import multiprocessing
-
-            return bool(multiprocessing.get_all_start_methods())
-        except (ImportError, NotImplementedError):
-            return False
 
     def _run_serial(self, misses, unique, failures) -> None:
         """The in-process fallback: the exact serial path, with the same
@@ -254,13 +245,11 @@ class ParallelRunner:
                 failures[key] = RunFailure(request, traceback.format_exc())
 
     def _run_pool(self, misses, unique, digests, failures) -> None:
-        cache_dir = self.runner._disk.directory
-        workers = min(self.jobs, len(misses))
+        results: Dict[tuple, RunResult] = {}
         try:
             with ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=min(self.jobs, len(misses)),
                 initializer=_worker_init,
-                initargs=(cache_dir,),
             ) as pool:
                 futures = {
                     pool.submit(
@@ -272,42 +261,20 @@ class ParallelRunner:
                     ): key
                     for key in misses
                 }
-                worker_errors = {
-                    futures[future]: future.result()
-                    for future in as_completed(futures)
-                }
+                for future in as_completed(futures):
+                    key = futures[future]
+                    data, error = future.result()
+                    if error is not None:
+                        failures[key] = RunFailure(unique[key], error)
+                        continue
+                    results[key] = run_result_from_dict(data)
+                    self.runner._disk.store(digests[key], results[key])
         except Exception:
             # A broken pool (worker killed, spawn failure) is not a result
-            # error: retry everything not yet published, in-process.
-            remaining = [
-                key for key in misses
-                if self.runner._disk.load(digests[key]) is None
-            ]
-            self._run_serial(remaining, unique, failures)
-            self._collect_published(
-                [key for key in misses if key not in remaining], digests
-            )
-            return
-
-        failed = [key for key, error in worker_errors.items() if error]
-        for key in failed:
-            failures[key] = RunFailure(unique[key], worker_errors[key])
-        succeeded = [key for key in misses if key not in failures]
-        orphans = self._collect_published(succeeded, digests)
-        for key in orphans:
-            failures[key] = RunFailure(
-                unique[key],
-                "worker reported success but the cache entry is missing",
-            )
-
-    def _collect_published(self, keys, digests) -> List[tuple]:
-        """Load worker-published results into the parent memo; return
-        any keys whose cache entry cannot be read back."""
-        orphans = []
-        for key in keys:
-            cached = self.runner._disk.load(digests[key])
-            if cached is None:
-                orphans.append(key)
-            else:
-                self.runner._memoize(key, cached)
-        return orphans
+            # error: the runs it did not return are retried in-process.
+            pass
+        for key in misses:
+            if key in results:
+                self.runner._memoize(key, results[key])
+            elif key not in failures:
+                self._run_serial([key], unique, failures)

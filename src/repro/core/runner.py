@@ -129,7 +129,7 @@ class WorkloadRunner:
             workload = get_workload(workload_name)
             dataset = workload.dataset(dataset_name)
             digest = run_digest(workload.source, dataset.data, config.tag())
-            cached = self._disk.load(digest)
+            cached = self._disk.load(digest, workload_name)
             if cached is None:
                 cached = self._execute(key, ())
                 self._disk.store(digest, cached)

@@ -122,7 +122,7 @@ COMMUTATIVE_BINOPS = frozenset(
 )
 
 #: Comparison operators, and the operator each one negates to
-#: (used by branch simplification).
+#: (used to refine ranges on a branch's false edge).
 NEGATED_COMPARISON = {
     BinOp.EQ: BinOp.NE,
     BinOp.NE: BinOp.EQ,

@@ -12,10 +12,9 @@ predictors.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
+from repro.fileio import write_json_atomic
 from repro.profiling.branch_profile import BranchProfile
 from repro.vm.counters import RunResult
 
@@ -117,28 +116,8 @@ class ProfileDatabase:
         return database
 
     def save(self, path: str) -> None:
-        """Write the database as JSON (atomically).
-
-        Each writer gets its own mkstemp temp file in the target directory
-        (same filesystem, so ``os.replace`` stays atomic).  A shared
-        ``<path>.tmp`` would let two concurrent writers interleave writes
-        and race the final rename, leaving a corrupt or vanished database —
-        the same failure ``DiskCache.store`` had under parallel workers.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        """Write the database as JSON (atomically)."""
+        write_json_atomic(path, self.to_dict(), indent=1, sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "ProfileDatabase":

@@ -49,19 +49,25 @@ class IfProbber:
         return self.database.program_profile(self.name)
 
     def feedback_source(self, profile: Optional[BranchProfile] = None) -> str:
-        """Source text with IFPROB directives for the accumulated counts.
-
-        Fractional accumulated counts (from scaled combination) are rounded
-        to integers for the directive text; direction is what matters.
-        """
+        """Source text with IFPROB directives for the accumulated counts
+        (rounded by ``directive_counts``)."""
         if profile is None:
             profile = self.accumulated_profile()
-        counts: Dict = {}
-        for branch_id, (executed, taken) in profile.counts.items():
-            executed_int = max(int(round(executed)), 1)
-            taken_int = min(int(round(taken)), executed_int)
-            counts[branch_id] = (executed_int, taken_int)
-        return apply_feedback(self.source, counts)
+        return apply_feedback(self.source, directive_counts(profile))
+
+
+def directive_counts(profile: BranchProfile) -> Dict:
+    """Branch id -> integer (executed, taken) for ``IFPROB`` directives.
+
+    Fractional accumulated counts (from scaled combination) are rounded;
+    every site keeps at least one execution and never more taken than
+    executed.  Direction is what matters.
+    """
+    counts: Dict = {}
+    for branch_id, (executed, taken) in profile.counts.items():
+        executed_int = max(int(round(executed)), 1)
+        counts[branch_id] = (executed_int, min(int(round(taken)), executed_int))
+    return counts
 
 
 def profile_from_feedback(compiled: CompiledProgram) -> BranchProfile:

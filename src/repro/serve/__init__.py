@@ -5,9 +5,9 @@ predicts a held-out run nearly as well as self-prediction — is exactly
 the contract of a production profile-feedback service: executing
 instances upload branch counters, a central aggregator serves summary
 predictions back.  This package is that service: an asyncio TCP server
-(`server`), a length-prefixed versioned JSON protocol (`protocol`), a
-sharded epoch-stamped aggregator with write-behind persistence
-(`aggregator`), a resilient blocking client with offline degradation
+(`server`), a length-prefixed versioned JSON protocol (`protocol`), an
+epoch-stamped aggregator over one profile database with write-behind
+persistence (`aggregator`), a resilient blocking client with offline degradation
 (`client`), and observability (`metrics`).  Served predictions are
 byte-identical to the offline ``combine_profiles``/``leave_one_out``
 path — see docs/SERVE.md for the equivalence argument.

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    repro-serve serve --port 7381 --db profiles.d       # run the server
+    repro-serve serve --port 7381 --db state/           # run the server
     repro-serve upload-sweep --server H:P --workloads doduc,fpppp
     repro-serve predict --server H:P --program doduc [--exclude ref]
     repro-serve predict ... --verify-offline            # differential gate
@@ -52,12 +52,15 @@ def _client(args) -> ProfileClient:
 
 
 async def _serve(args) -> int:
-    aggregator = Aggregator(shards=args.shards, persist_dir=args.db)
+    try:
+        aggregator = Aggregator(persist_dir=args.db)
+    except ValueError as exc:
+        print(f"repro-serve: error: {exc}", file=sys.stderr)
+        return 2
     server = ProfileServer(
         aggregator,
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
         flush_interval=args.flush_interval,
     )
     await server.start()
@@ -215,10 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=DEFAULT_PORT)
     serve.add_argument(
         "--db", default=None, metavar="DIR",
-        help="persist shards as JSON under this directory (write-behind)",
+        help="persist the profile database as DIR/profiles.json "
+        "(write-behind; repro-mf --db reads it)",
     )
-    serve.add_argument("--shards", type=int, default=8)
-    serve.add_argument("--max-inflight", type=int, default=64)
     serve.add_argument("--flush-interval", type=float, default=1.0)
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",

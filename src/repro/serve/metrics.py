@@ -1,5 +1,5 @@
 """Service observability: request/error counters, latency histograms,
-queue depth.
+in-flight requests.
 
 Everything is in-process and lock-guarded (the server's asyncio loop,
 its persistence thread, and test harnesses may all touch it), exported
@@ -86,8 +86,6 @@ class ServiceMetrics:
         self.connections_closed = 0
         self.inflight = 0
         self.inflight_peak = 0
-        self.queued = 0
-        self.queued_peak = 0
         for op in ops or ():
             self._ensure(op)
 
@@ -118,16 +116,9 @@ class ServiceMetrics:
         with self._lock:
             self.connections_closed += 1
 
-    def enter_queue(self) -> None:
-        """A request is waiting on the in-flight semaphore."""
-        with self._lock:
-            self.queued += 1
-            self.queued_peak = max(self.queued_peak, self.queued)
-
     def start_request(self) -> None:
-        """A request acquired an in-flight slot."""
+        """A request's dispatch began."""
         with self._lock:
-            self.queued -= 1
             self.inflight += 1
             self.inflight_peak = max(self.inflight_peak, self.inflight)
 
@@ -150,8 +141,6 @@ class ServiceMetrics:
                     "active": self.connections_opened - self.connections_closed,
                 },
                 "queue": {
-                    "depth": self.queued,
-                    "peak": self.queued_peak,
                     "inflight": self.inflight,
                     "inflight_peak": self.inflight_peak,
                 },

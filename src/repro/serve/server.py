@@ -3,10 +3,10 @@
 One ``ProfileServer`` owns an ``Aggregator`` and serves the four protocol
 operations over TCP.  Design points:
 
-* **Bounded in-flight work.**  A semaphore caps how many requests are
-  being dispatched at once; excess requests queue on the semaphore (and
-  ultimately on TCP), so a burst degrades to latency, never to unbounded
-  memory.  Queue depth and in-flight counts are exported via metrics.
+* **One request at a time.**  Every request is dispatched synchronously
+  on the event-loop thread, so requests from concurrent connections
+  interleave between frames but never overlap; the ``inflight_peak``
+  gauge states that invariant.  A burst queues on TCP, not in memory.
 * **Connection isolation.**  A peer that vanishes mid-frame, sends
   garbage, or claims an oversized frame costs the server exactly that
   connection — the handler catches the ``ProtocolError``, answers it when
@@ -15,10 +15,10 @@ operations over TCP.  Design points:
   leave partial state behind.
 * **Graceful drain.**  ``stop()`` closes the listening socket, lets every
   in-flight request finish (up to ``drain_timeout``), cancels stragglers,
-  then flushes the aggregator's dirty shards to disk.
-* **Write-behind persistence.**  A background task flushes dirty shards
-  every ``flush_interval`` seconds through a worker thread, so uploads
-  never wait on the filesystem.
+  then flushes the aggregator's database to disk.
+* **Write-behind persistence.**  A background task flushes the database,
+  when it changed, every ``flush_interval`` seconds through a worker
+  thread, so uploads never wait on the filesystem.
 
 ``ServerThread`` runs the whole thing on a private event loop in a
 daemon thread — the harness the sync client tests, benchmarks, and the
@@ -47,14 +47,11 @@ class ProfileServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         *,
-        max_inflight: int = 64,
         idle_timeout: float = 60.0,
         drain_timeout: float = 5.0,
         flush_interval: float = 1.0,
         metrics: Optional[ServiceMetrics] = None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.aggregator = aggregator
         self.host = host
         self.port = port
@@ -62,8 +59,6 @@ class ProfileServer:
         self.drain_timeout = drain_timeout
         self.flush_interval = flush_interval
         self.metrics = metrics or ServiceMetrics(ops=list(protocol.OPS))
-        self._max_inflight = max_inflight
-        self._semaphore: Optional[asyncio.Semaphore] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: set = set()
         self._draining = False
@@ -74,17 +69,12 @@ class ProfileServer:
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is updated with the
         actual port when 0 was requested."""
-        self._semaphore = asyncio.Semaphore(self._max_inflight)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.aggregator.persist_dir:
             self._flusher = asyncio.ensure_future(self._flush_loop())
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Graceful drain: stop accepting, finish in-flight work, flush."""
@@ -114,7 +104,7 @@ class ProfileServer:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.flush_interval)
-            if self.aggregator.dirty_shards():
+            if self.aggregator.dirty:
                 await loop.run_in_executor(None, self.aggregator.flush)
 
     # -- connection handling ------------------------------------------------
@@ -141,7 +131,7 @@ class ProfileServer:
                     break
                 if payload is None:
                     break  # clean EOF
-                response = await self._serve_request(payload)
+                response = self._serve_request(payload)
                 try:
                     await protocol.write_frame_async(writer, response)
                 except (ConnectionError, protocol.ProtocolError):
@@ -156,30 +146,28 @@ class ProfileServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_request(self, payload: Dict) -> Dict:
+    def _serve_request(self, payload: Dict) -> Dict:
         op = payload.get("op")
         op_label = op if op in protocol.OPS else "invalid"
-        self.metrics.enter_queue()
-        async with self._semaphore:
-            self.metrics.start_request()
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            try:
-                response = self._dispatch(payload)
-            except protocol.ProtocolError as exc:
-                response = protocol.error_response(str(exc))
-            except (KeyError, ValueError) as exc:
-                response = protocol.error_response(str(exc))
-            except Exception as exc:  # a bug, but never kill the service
-                response = protocol.error_response(
-                    f"internal error: {type(exc).__name__}: {exc}"
-                )
-            finally:
-                self.metrics.finish_request()
-            self.metrics.record_request(
-                op_label, loop.time() - started, error=not response["ok"]
+        self.metrics.start_request()
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            response = self._dispatch(payload)
+        except protocol.ProtocolError as exc:
+            response = protocol.error_response(str(exc))
+        except (KeyError, ValueError) as exc:
+            response = protocol.error_response(str(exc))
+        except Exception as exc:  # a bug, but never kill the service
+            response = protocol.error_response(
+                f"internal error: {type(exc).__name__}: {exc}"
             )
-            return response
+        finally:
+            self.metrics.finish_request()
+        self.metrics.record_request(
+            op_label, loop.time() - started, error=not response["ok"]
+        )
+        return response
 
     # -- operations ---------------------------------------------------------
 

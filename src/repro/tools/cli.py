@@ -33,6 +33,7 @@ from repro.metrics.ipb import (
 from repro.prediction.base import ProfilePredictor
 from repro.prediction.evaluate import evaluate_static
 from repro.profiling.database import ProfileDatabase
+from repro.profiling.ifprobber import directive_counts
 from repro.vm.machine import run_program
 
 
@@ -115,10 +116,7 @@ def cmd_feedback(args) -> int:
         print(f"error: no counts recorded for {name!r} in {args.db}",
               file=sys.stderr)
         return 1
-    counts = {}
-    for branch_id, (executed, taken) in profile.counts.items():
-        executed_int = max(int(round(executed)), 1)
-        counts[branch_id] = (executed_int, min(int(round(taken)), executed_int))
+    counts = directive_counts(profile)
     feedback_text = apply_feedback(source, counts)
     if args.output:
         with open(args.output, "w") as handle:

@@ -64,6 +64,13 @@ def test_jobs_run_the_advertised_commands(workflow):
         "--verify-offline" in line for line in serve_lines
     ), "served predictions must be checked byte-for-byte against offline"
     assert any(
+        "--db state/" in line
+        and line.count("start_server\n") == 2
+        and "--verify-offline" in line
+        and "repro-mf report --db state/profiles.json" in line
+        for line in serve_lines
+    ), "the serve-smoke job must verify predictions after a restart from --db"
+    assert any(
         "benchmarks/bench_serve.py" in line for line in serve_lines
     ), "the serve-smoke job must enforce the upload throughput floor"
     assert any("examples/*.py" in line for line in _run_lines(jobs["examples"]))
@@ -71,10 +78,12 @@ def test_jobs_run_the_advertised_commands(workflow):
         "repro-mf lint" in line for line in _run_lines(jobs["examples"])
     ), "the examples job must IR-lint the bundled programs"
     assert any(
-        "export --no-cache" in line
-        and "sha256sum -c tests/golden/export.sha256" in line
+        "export --no-cache --out" in line
+        and "export --no-cache --jobs 2" in line
+        and line.count("sha256sum -c tests/golden/export.sha256") == 2
         for line in _run_lines(jobs["examples"])
-    ), "the examples job must check export bytes against the golden hash"
+    ), "the examples job must check serial and pooled export bytes against "
+    "the golden hash"
 
 
 def test_setup_python_uses_pip_caching(workflow):

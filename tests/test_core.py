@@ -1,5 +1,9 @@
 """Core runner and cross-dataset experiment machinery tests."""
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +27,7 @@ def test_disk_cache_round_trip(tmp_path, runner):
     result = runner.run("lfk", "default")
     cache = DiskCache(str(tmp_path))
     cache.store("abc", result)
-    loaded = cache.load("abc")
+    loaded = cache.load("abc", "lfk")
     assert loaded is not None
     assert loaded.instructions == result.instructions
     assert loaded.branch_exec == result.branch_exec
@@ -33,14 +37,14 @@ def test_disk_cache_round_trip(tmp_path, runner):
 
 def test_disk_cache_miss_and_corrupt_entry(tmp_path):
     cache = DiskCache(str(tmp_path))
-    assert cache.load("missing") is None
+    assert cache.load("missing", "lfk") is None
     (tmp_path / "bad.json").write_text("{not json")
-    assert cache.load("bad") is None
+    assert cache.load("bad", "lfk") is None
 
 
 def test_disk_cache_disabled():
     cache = DiskCache(None)
-    assert cache.load("x") is None
+    assert cache.load("x", "lfk") is None
     cache.store("x", None)  # no-op, must not raise
 
 
@@ -136,6 +140,50 @@ def test_run_digest_is_injective_across_field_boundaries():
     assert run_digest("1", b"", "") != run_digest("", b"1", "")
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def _digest_in(src):
+    """``run_digest`` of fixed fields, computed by a fresh interpreter
+    importing ``repro`` from ``src`` (the fingerprint is per process)."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.core.cache import run_digest; "
+         "print(run_digest('src', b'input', 'cfg'))"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src),
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    return done.stdout.strip()
+
+
+def test_run_digest_keys_on_toolchain_code(tmp_path):
+    # A changed compiler pass must miss the cache; a changed experiment
+    # (which only reads run results) must not.
+    src = tmp_path / "src"
+    shutil.copytree(
+        SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+    )
+    base = _digest_in(src)
+    with open(src / "repro" / "experiments" / "table1.py", "a") as handle:
+        handle.write("# an edit outside the toolchain\n")
+    assert _digest_in(src) == base
+    with open(src / "repro" / "opt" / "cse.py", "a") as handle:
+        handle.write("# an edit to a compiler pass\n")
+    assert _digest_in(src) != base
+
+
+def test_cache_entry_of_another_program_is_recomputed(tmp_path):
+    fresh = WorkloadRunner(cache_dir=str(tmp_path)).run("doduc", "tiny")
+    [entry] = tmp_path.glob("*.json")
+    data = json.loads(entry.read_text())
+    data["program"] = "li"
+    entry.write_text(json.dumps(data))
+    served = WorkloadRunner(cache_dir=str(tmp_path)).run("doduc", "tiny")
+    assert run_result_to_dict(served) == run_result_to_dict(fresh)
+    assert json.loads(entry.read_text())["program"] == "doduc"
+
+
 def test_disk_cache_store_is_safe_under_concurrent_writers(tmp_path, runner):
     # Two parallel workers storing the same digest used to share one
     # "<digest>.json.tmp" path, interleaving writes and racing the final
@@ -161,7 +209,7 @@ def test_disk_cache_store_is_safe_under_concurrent_writers(tmp_path, runner):
         thread.join()
 
     assert not errors
-    loaded = cache.load("shared")
+    loaded = cache.load("shared", "lfk")
     assert loaded is not None
     assert run_result_to_dict(loaded) == run_result_to_dict(result)
     # The entry parses as clean JSON (no interleaved writes) and no
@@ -183,7 +231,7 @@ def test_disk_cache_used_across_runner_instances(tmp_path):
         second.workload("lfk").dataset("default").data,
         RunConfig().tag(),
     )
-    assert second._disk.load(digest) is not None
+    assert second._disk.load(digest, "lfk") is not None
     reloaded = second.run("lfk", "default")
     assert reloaded.instructions == result.instructions
 

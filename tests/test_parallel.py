@@ -3,9 +3,11 @@ import os
 
 import pytest
 
+from repro.core import parallel
 from repro.core.cache import run_result_to_dict
 from repro.core.parallel import (
     ParallelExecutionError,
+    ParallelRunner,
     RunRequest,
     dataset_requests,
     resolve_jobs,
@@ -62,11 +64,42 @@ def test_error_isolation_bad_triple_does_not_poison_batch(tmp_path):
         assert request.key() in runner._runs
 
 
-def test_disabled_disk_cache_falls_back_to_in_process():
-    runner = WorkloadRunner(cache_dir=None, jobs=2)
-    results = runner.run_many(SWEEP[:2])
-    assert results[0].instructions > 0
-    assert results[1].instructions > 0
+def test_fans_out_without_a_disk_cache(monkeypatch):
+    fanouts = []
+    run_pool = ParallelRunner._run_pool
+
+    def spy(self, misses, *args):
+        fanouts.append(len(misses))
+        return run_pool(self, misses, *args)
+
+    monkeypatch.setattr(ParallelRunner, "_run_pool", spy)
+    published = {"serial": [], "fanout": []}
+
+    def publishing_runner(name, jobs):
+        return WorkloadRunner(
+            cache_dir=None, jobs=jobs,
+            publish=lambda run, dataset: published[name].append(
+                (run.program, dataset)
+            ),
+        )
+
+    fanout = publishing_runner("fanout", 2).run_many(SWEEP)
+    assert fanouts == [len(SWEEP)]
+    serial = publishing_runner("serial", 1).run_many(SWEEP)
+    assert _dicts(fanout) == _dicts(serial)
+    # Results are memoized in request order, as a serial run publishes.
+    assert published["fanout"] == published["serial"]
+
+
+def _exit_worker(*args):
+    os._exit(1)
+
+
+def test_broken_pool_retries_in_process(monkeypatch):
+    monkeypatch.setattr(parallel, "_worker_execute", _exit_worker)
+    retried = WorkloadRunner(cache_dir=None, jobs=2).run_many(SWEEP[:2])
+    serial = WorkloadRunner(cache_dir=None).run_many(SWEEP[:2])
+    assert _dicts(retried) == _dicts(serial)
 
 
 def test_run_all_routes_through_batch_when_parallel(tmp_path):

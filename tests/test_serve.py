@@ -2,8 +2,11 @@
 round trips, fault injection, client resilience, runner integration, CLI.
 """
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -23,6 +26,8 @@ from repro.serve.client import (
 )
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 from repro.serve.server import ServerThread
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def make_profile(program, counts, runs=1):
@@ -125,7 +130,6 @@ def test_latency_histogram_percentiles():
 
 def test_metrics_snapshot_shape():
     metrics = ServiceMetrics(ops=["upload"])
-    metrics.enter_queue()
     metrics.start_request()
     metrics.record_request("upload", 0.001, error=False)
     metrics.finish_request()
@@ -133,9 +137,7 @@ def test_metrics_snapshot_shape():
     snapshot = metrics.snapshot()
     assert snapshot["requests"]["upload"] == 2
     assert snapshot["errors"]["upload"] == 1
-    assert snapshot["queue"] == {
-        "depth": 0, "peak": 1, "inflight": 0, "inflight_peak": 1,
-    }
+    assert snapshot["queue"] == {"inflight": 0, "inflight_peak": 1}
     assert snapshot["latency"]["upload"]["count"] == 2
 
 
@@ -143,7 +145,7 @@ def test_metrics_snapshot_shape():
 
 
 def test_aggregator_record_predict_and_epoch():
-    aggregator = Aggregator(shards=4)
+    aggregator = Aggregator()
     assert aggregator.epoch == 0
     for dataset, counts in PROFILES.items():
         aggregator.record_profile("demo", dataset, make_profile("demo", counts))
@@ -158,7 +160,7 @@ def test_aggregator_record_predict_and_epoch():
 
 
 def test_aggregator_predict_errors():
-    aggregator = Aggregator(shards=2)
+    aggregator = Aggregator()
     with pytest.raises(KeyError):
         aggregator.predict("missing")
     aggregator.record_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
@@ -170,30 +172,19 @@ def test_aggregator_predict_errors():
         aggregator.predict("demo", mode="bogus")
 
 
-def test_aggregator_sharding_is_stable_and_complete():
-    aggregator = Aggregator(shards=4)
-    names = [f"prog{i}" for i in range(12)]
-    for name in names:
-        assert aggregator.shard_index(name) == aggregator.shard_index(name)
-        aggregator.record_profile(name, "d", make_profile(name, PROFILES["d1"]))
-    assert aggregator.programs() == sorted(names)
-    shards = {aggregator.shard_index(name) for name in names}
-    assert len(shards) > 1, "12 programs should spread over 4 shards"
-
-
 def test_aggregator_persistence_round_trip(tmp_path):
     persist = str(tmp_path / "agg")
-    aggregator = Aggregator(shards=3, persist_dir=persist)
+    aggregator = Aggregator(persist_dir=persist)
+    assert not aggregator.dirty
     for dataset, counts in PROFILES.items():
         aggregator.record_profile("demo", dataset, make_profile("demo", counts))
     aggregator.record_profile("other", "d", make_profile("other", PROFILES["d2"]))
-    assert aggregator.dirty_shards() >= 1
-    written = aggregator.flush()
-    assert written >= 1
-    assert aggregator.dirty_shards() == 0
-    assert aggregator.flush() == 0  # write-behind: clean shards are skipped
+    assert aggregator.dirty
+    assert aggregator.flush() is True
+    assert not aggregator.dirty
+    assert aggregator.flush() is False  # write-behind: a clean database is skipped
 
-    reloaded = Aggregator(shards=3, persist_dir=persist)
+    reloaded = Aggregator(persist_dir=persist)
     assert reloaded.programs() == ["demo", "other"]
     original = aggregator.predict("demo", mode="unscaled")[0]
     recovered = reloaded.predict("demo", mode="unscaled")[0]
@@ -201,9 +192,34 @@ def test_aggregator_persistence_round_trip(tmp_path):
         recovered
     ) == protocol.canonical_profile_bytes(original)
 
+    # The persisted file is the format repro-mf --db reads.
+    database = ProfileDatabase.load(str(tmp_path / "agg" / "profiles.json"))
+    assert database.programs() == ["demo", "other"]
+    assert protocol.canonical_profile_bytes(
+        database_predict(database, "demo", mode="unscaled")[0]
+    ) == protocol.canonical_profile_bytes(original)
+
+
+def test_old_shard_layout_refuses_to_start(tmp_path):
+    # Starting empty on a directory of the old sharded layout would serve
+    # silently wrong predictions.
+    persist = tmp_path / "old"
+    persist.mkdir()
+    (persist / "shard-00.json").write_text('{"entries": []}')
+    with pytest.raises(ValueError, match="shard-00.json"):
+        Aggregator(persist_dir=str(persist))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.serve.cli", "serve",
+         "--port", "0", "--db", str(persist)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert done.returncode == 2
+    assert "shard-00.json" in done.stderr
+
 
 def test_aggregator_stats_contents():
-    aggregator = Aggregator(shards=2)
+    aggregator = Aggregator()
     aggregator.record_profile("demo", "d1", make_profile("demo", PROFILES["d1"]))
     stats = aggregator.stats()
     assert stats["epoch"] == 1
@@ -272,7 +288,7 @@ def test_server_error_responses_do_not_mutate_state(client):
          "nan", "inf"],
 )
 def test_server_rejects_invalid_profile_counts(client, counts):
-    # Before validation, one such upload was summed into the shard and
+    # Before validation, one such upload was summed into the database and
     # poisoned every later prediction for the program.
     upload_demo(client)
     before = client.stats()["stats"]
@@ -364,8 +380,8 @@ def test_slow_client_does_not_block_fast_clients(server, client):
     assert profile.counts[BranchId("f", 0)] == (10.0, 3.0)
 
 
-def test_backpressure_bounds_inflight_work():
-    with ServerThread(max_inflight=1) as server:
+def test_concurrent_clients_are_served_one_request_at_a_time():
+    with ServerThread() as server:
         clients = [
             ProfileClient(server.host, server.port) for _ in range(4)
         ]
@@ -438,12 +454,12 @@ def test_client_reconnects_after_server_restart():
 
 def test_graceful_drain_flushes_persistence(tmp_path):
     persist = str(tmp_path / "drain")
-    aggregator = Aggregator(shards=2, persist_dir=persist)
+    aggregator = Aggregator(persist_dir=persist)
     # Long flush interval: only the drain path can have written the data.
     with ServerThread(aggregator, flush_interval=3600.0) as server:
         with ProfileClient(server.host, server.port) as client:
             upload_demo(client)
-    reloaded = Aggregator(shards=2, persist_dir=persist)
+    reloaded = Aggregator(persist_dir=persist)
     assert reloaded.programs() == ["demo"]
     assert reloaded.datasets("demo") == ["d1", "d2", "d3"]
 
